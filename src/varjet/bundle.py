@@ -7,7 +7,7 @@ multi-index over the base range of the view they belong to.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .expr import Expr, Sym
@@ -37,13 +37,24 @@ class JetCoord:
     fiber: str
     alpha: MultiIndex
     vertical: bool = False
+    # Cached at construction, outside equality; see Sym in varjet.expr.
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha.order == 0 and not self.vertical:
             raise ValueError("order-zero positional coordinates are plain symbols")
+        object.__setattr__(self, "_hash", hash((self.fiber, self.alpha, self.vertical)))
+        object.__setattr__(self, "_key", (1, int(self.vertical), self.fiber, self.alpha.sort_key(), self.alpha.names))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (JetCoord, (self.fiber, self.alpha, self.vertical))
 
     def sort_key(self) -> tuple:
-        return (1, int(self.vertical), self.fiber, self.alpha.sort_key(), self.alpha.names)
+        return self._key
 
     def label(self) -> str:
         head = ("d" + self.fiber) if self.vertical else self.fiber

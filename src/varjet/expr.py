@@ -13,7 +13,7 @@ sound for zero testing but incomplete: ``sin(u)**2 + cos(u)**2 - 1`` does
 not reduce to zero.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -31,9 +31,25 @@ class Sym:
     """A plain coordinate symbol, identified by name."""
 
     name: str
+    # Every atom class computes its hash and sort key once, at construction,
+    # and keeps both out of equality.  A pickled atom is rebuilt from its
+    # public fields (``__reduce__``), so the cached string hash of one
+    # process never reaches another.
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name,)))
+        object.__setattr__(self, "_key", (0, self.name))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Sym, (self.name,))
 
     def sort_key(self) -> tuple:
-        return (0, self.name)
+        return self._key
 
     def label(self) -> str:
         return self.name
@@ -42,7 +58,7 @@ class Sym:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncAtom:
     """Application of an elementary or formal function symbol.
 
@@ -53,15 +69,25 @@ class FuncAtom:
     func: str
     args: tuple
     derivs: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.derivs) != len(self.args):
             raise ValueError("one derivative count per argument required")
         if self.func in _BUILTIN_FUNCS and any(self.derivs):
             raise ValueError(f"{self.func} has closed-form derivatives")
+        object.__setattr__(self, "_hash", hash((self.func, self.args, self.derivs)))
+        object.__setattr__(self, "_key", (2, self.func, self.derivs, tuple(a.sort_key() for a in self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (FuncAtom, (self.func, self.args, self.derivs))
 
     def sort_key(self) -> tuple:
-        return (2, self.func, self.derivs, tuple(a.sort_key() for a in self.args))
+        return self._key
 
     def label(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
@@ -78,28 +104,72 @@ class FuncAtom:
         return self.label()
 
 
-def _atom_key(atom) -> tuple:
-    return atom.sort_key()
-
-
 def _mono_key(mono: Monomial) -> tuple:
     deg = sum(e for _, e in mono)
     return (deg, tuple((a.sort_key(), e) for a, e in mono))
 
 
+def _lowered(mono: Monomial, i: int, k: int) -> Monomial:
+    """``mono`` divided by its i-th atom, whose exponent is ``k``."""
+    if k == 1:
+        return mono[:i] + mono[i + 1 :]
+    return mono[:i] + ((mono[i][0], k - 1),) + mono[i + 1 :]
+
+
+def _add_terms(out: dict, terms: Mapping[Monomial, Fraction]) -> None:
+    """Add a term map into ``out``, dropping monomials that cancel.
+
+    A monomial that cancels and comes back later re-enters at the end, just
+    as it does when the same sums are built one ``+`` at a time.
+    """
+    for m, c in terms.items():
+        prev = out.get(m)
+        if prev is None:
+            out[m] = c
+        else:
+            c = prev + c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two monomials: a merge of their sorted factor lists."""
     if not a:
         return b
     if not b:
         return a
-    merged: dict = {}
-    for atom, e in a:
-        merged[atom] = e
-    for atom, e in b:
-        merged[atom] = merged.get(atom, 0) + e
-    items = [(atom, e) for atom, e in merged.items() if e != 0]
-    items.sort(key=lambda p: _atom_key(p[0]))
-    return tuple(items)
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    ka, kb = a[0][0].sort_key(), b[0][0].sort_key()
+    while True:
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+            if i == na:
+                out.extend(b[j:])
+                break
+            ka = a[i][0].sort_key()
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+            if j == nb:
+                out.extend(a[i:])
+                break
+            kb = b[j][0].sort_key()
+        else:  # sort keys are unique per atom: the same atom on both sides
+            e = a[i][1] + b[j][1]
+            if e:
+                out.append((a[i][0], e))
+            i += 1
+            j += 1
+            if i == na or j == nb:
+                out.extend(a[i:] if j == nb else b[j:])
+                break
+            ka, kb = a[i][0].sort_key(), b[j][0].sort_key()
+    return tuple(out)
 
 
 def _coerce(value) -> "Expr":
@@ -119,19 +189,31 @@ class Expr:
         object.__setattr__(self, "_terms", {m: c for m, c in terms.items() if c != 0})
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _frozen(cls, terms: dict) -> "Expr":
+        """Adopt a term dict that has no zero coefficients, without copying."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "_terms", terms)
+        object.__setattr__(e, "_hash", None)
+        return e
+
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
+
+    def __reduce__(self):
+        # Rebuilt from the term map; the cached hash is never pickled.
+        return (Expr, (self._terms,))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value) -> "Expr":
         q = Fraction(value)
-        return cls({(): q} if q else {})
+        return cls._frozen({(): q} if q else {})
 
     @classmethod
     def atom(cls, a) -> "Expr":
-        return cls({((a, 1),): Fraction(1)})
+        return cls._frozen({((a, 1),): Fraction(1)})
 
     # -- inspection --------------------------------------------------------
 
@@ -175,14 +257,13 @@ class Expr:
     def __add__(self, other) -> "Expr":
         other = _coerce(other)
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Expr(out)
+        _add_terms(out, other._terms)
+        return Expr._frozen(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self._terms.items()})
+        return Expr._frozen({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Expr":
         return self + (-_coerce(other))
@@ -192,11 +273,18 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = _coerce(other)
+        if len(other._terms) == 1:
+            # Multiplying by one monomial is injective: no terms collide or cancel.
+            ((m2, c2),) = other._terms.items()
+            if c2 == 1:
+                return Expr._frozen({_mono_mul(m1, m2): c1 for m1, c1 in self._terms.items()})
+            return Expr._frozen({_mono_mul(m1, m2): c1 * c2 for m1, c1 in self._terms.items()})
         out: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                prev = out.get(m)
+                out[m] = c1 * c2 if prev is None else prev + c1 * c2
         return Expr(out)
 
     __rmul__ = __mul__
@@ -223,8 +311,7 @@ class Expr:
             raise ZeroDivisionError("division by the zero expression")
         if len(self._terms) == 1:
             ((mono, coeff),) = self._terms.items()
-            inv_mono = tuple((a, -e) for a, e in mono)
-            inv_mono = tuple(sorted(inv_mono, key=lambda p: _atom_key(p[0])))
+            inv_mono = tuple((a, -e) for a, e in mono)  # same atoms, still sorted
             return Expr({inv_mono: Fraction(1) / coeff})
         return Expr.atom(FuncAtom("inv", (self,), (0,)))
 
@@ -325,33 +412,100 @@ def diff(e: Expr, c) -> Expr:
     formal derivative markers on undeclared function symbols.
     """
     out: dict = {}
+    ch = hash(c)
+    chains: dict = {}  # function atom -> its derivative by c, for this call only
     for mono, coeff in e._terms.items():
         for i, (a, k) in enumerate(mono):
-            da = _atom_derivative(a, c)
-            if da.is_zero:
-                continue
-            rest = mono[:i] + mono[i + 1 :]
-            if k == 1:
-                part = Expr({rest: coeff * k})
-            else:
-                part = Expr({_mono_mul(rest, ((a, k - 1),)): coeff * k})
-            part = part * da
-            for m, q in part._terms.items():
-                out[m] = out.get(m, Fraction(0)) + q
+            if a is c or (a._hash == ch and a == c):
+                m = _lowered(mono, i, k)
+                q = coeff if k == 1 else coeff * k
+                prev = out.get(m)
+                out[m] = q if prev is None else prev + q
+            elif isinstance(a, FuncAtom):
+                da = chains.get(a)
+                if da is None:
+                    da = chains[a] = _atom_derivative(a, c)
+                if da._terms:
+                    _add_chain_terms(out, _lowered(mono, i, k), coeff if k == 1 else coeff * k, da)
     return Expr(out)
+
+
+def _add_chain_terms(out: dict, base: Monomial, q: Fraction, da: Expr) -> None:
+    """Accumulate ``q * base * da`` into ``out`` (zeros are filtered later)."""
+    for m2, q2 in da._terms.items():
+        m = _mono_mul(base, m2)
+        prev = out.get(m)
+        out[m] = q * q2 if prev is None else prev + q * q2
+
+
+def partials(e: Expr, accept: Callable[[object], bool]) -> dict:
+    """``{a: diff(e, a)}`` for every coordinate atom ``a`` that ``accept``
+    admits and ``e`` depends on, atoms nested in function arguments included.
+
+    One walk over the terms serves every atom: each factor's contribution
+    lands in the partial of the atom it is taken by, in the order ``diff``
+    would add it, so every partial equals ``diff(e, a)`` term order included.
+    ``accept`` sees each distinct non-function atom once; memos live for
+    this call only.
+    """
+    sums: dict = {}  # atom -> diff's accumulator for that atom
+    admitted: dict = {}  # coordinate atom -> accept(atom)
+    chains: dict = {}  # function atom -> [(admitted nested atom, derivative)]
+    for mono, coeff in e._terms.items():
+        for i, (a, k) in enumerate(mono):
+            if isinstance(a, FuncAtom):
+                pairs = chains.get(a)
+                if pairs is None:
+                    pairs = chains[a] = _chain_partials(a, accept, admitted)
+                if pairs:
+                    base, q = _lowered(mono, i, k), (coeff if k == 1 else coeff * k)
+                    for b, da in pairs:
+                        _add_chain_terms(sums.setdefault(b, {}), base, q, da)
+                continue
+            ok = admitted.get(a)
+            if ok is None:
+                ok = admitted[a] = bool(accept(a))
+            if ok:
+                out = sums.setdefault(a, {})
+                m = _lowered(mono, i, k)
+                q = coeff if k == 1 else coeff * k
+                prev = out.get(m)
+                out[m] = q if prev is None else prev + q
+    result = {}
+    for a, terms in sums.items():
+        d = Expr(terms)
+        if d._terms:
+            result[a] = d
+    return result
+
+
+def _chain_partials(f: FuncAtom, accept, admitted: dict) -> list:
+    pairs = []
+    for b in Expr.atom(f).atoms():
+        if isinstance(b, FuncAtom):
+            continue
+        ok = admitted.get(b)
+        if ok is None:
+            ok = admitted[b] = bool(accept(b))
+        if ok:
+            db = _atom_derivative(f, b)
+            if db._terms:
+                pairs.append((b, db))
+    return pairs
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
     """Simultaneously replace bound atoms, recursing into function arguments."""
     if not bindings:
         return e
-    out = ZERO
-    for mono, coeff in e._terms.items():
-        term = Expr.const(coeff)
+
+    def term(mono: Monomial, coeff: Fraction) -> Expr:
+        out = Expr.const(coeff)
         for a, k in mono:
-            term = term * (_substitute_atom(a, bindings) ** k)
-        out = out + term
-    return out
+            out = out * (_substitute_atom(a, bindings) ** k)
+        return out
+
+    return sum_exprs(term(mono, coeff) for mono, coeff in e._terms.items())
 
 
 def _substitute_atom(a, bindings: Mapping) -> Expr:
@@ -441,8 +595,12 @@ def function(name: str, *args) -> Expr:
 
 
 def sum_exprs(items: Iterable[Expr]) -> Expr:
+    """The sum of ``items`` in one dict, frozen once.
+
+    Equal to adding the items one ``+`` at a time, term order included, but
+    linear in the terms rather than quadratic.
+    """
     out: dict = {}
     for e in items:
-        for m, c in e._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-    return Expr(out)
+        _add_terms(out, e._terms)
+    return Expr._frozen(out)

@@ -21,7 +21,7 @@ shifted multi-index.
 from dataclasses import dataclass
 
 from .bundle import BundleSpec, CoordinateError, JetCoord, enumerate_jet_coordinates, jet_atom
-from .expr import Expr, FuncAtom, Sym, diff, substitute
+from .expr import Expr, FuncAtom, Sym, diff, partials, substitute, sum_exprs
 from .forms import Form, wedge_basis_left
 from .multiindex import MultiIndex, indices_up_to
 
@@ -121,37 +121,19 @@ def total_derivative(e: Expr, direction: str, bundle: BundleSpec, r: int, s: int
     if direction not in bundle.base:
         raise CoordinateError(f"{direction!r} is not a base coordinate")
     validate_expression(e, bundle, r, s)
+    x = Sym(direction)
+    fiber = bundle.fiber
+    # Every partial the formula needs, from one walk over the terms.
+    parts = partials(e, lambda a: a == x or isinstance(a, JetCoord) or a.name in fiber)
     zero = bundle.zero_index()
-    out = diff(e, Sym(direction))
-    for a in sorted(e.atoms(), key=lambda a: a.sort_key()):
-        shifted = None
-        if isinstance(a, Sym) and a.name in bundle.fiber:
+    summands = [parts.pop(x)] if x in parts else []
+    for a in sorted(parts, key=lambda a: a.sort_key()):
+        if isinstance(a, Sym):
             shifted = jet_atom(a.name, zero.incremented(direction))
-        elif isinstance(a, JetCoord):
+        else:
             shifted = jet_atom(a.fiber, a.alpha.incremented(direction), a.vertical)
-        if shifted is None:
-            continue
-        part = diff(e, a)
-        if not part.is_zero:
-            out = out + part * Expr.atom(shifted)
-    return out
-
-
-def iterated_total_derivative(e: Expr, beta: MultiIndex, bundle: BundleSpec, r: int, s: int | None) -> Expr:
-    """D_beta as a composition of single total derivatives.
-
-    The result is independent of the chosen factor order because total
-    derivatives commute; the first nonzero slot is peeled off each step.
-    """
-    order = beta.order
-    if order == 0:
-        return e
-    for name, exp in zip(beta.names, beta.exponents):
-        if exp > 0:
-            rest = MultiIndex(beta.names, tuple(x - (1 if n == name else 0) for n, x in zip(beta.names, beta.exponents)))
-            inner = iterated_total_derivative(e, rest, bundle, r, s)
-            return total_derivative(inner, name, bundle, r + order - 1, None if s is None else s + order - 1)
-    raise AssertionError("unreachable")
+        summands.append(parts[a] * Expr.atom(shifted))
+    return sum_exprs(summands)
 
 
 def holonomic_prolongation(phi: Morphism, k: int) -> dict[MultiIndex, Form]:
@@ -224,14 +206,14 @@ def formal_exterior_differential_direct(phi: Morphism) -> Morphism:
     for i, name in enumerate(bundle.base, start=1):
 
         def d_i(c: Expr, name=name) -> Expr:
-            out = diff(c, Sym(name))
+            summands = [diff(c, Sym(name))]
             for a in coords:
                 if isinstance(a, Sym):
                     shifted = jet_atom(a.name, zero.incremented(name))
                 else:
                     shifted = jet_atom(a.fiber, a.alpha.incremented(name), a.vertical)
-                out = out + diff(c, a) * Expr.atom(shifted)
-            return out
+                summands.append(diff(c, a) * Expr.atom(shifted))
+            return sum_exprs(summands)
 
         value = value + wedge_basis_left(i, phi.value.map_coeffs(d_i))
     return Morphism(bundle, phi.r + 1, None if phi.s is None else phi.s + 1, value)

@@ -5,7 +5,7 @@ range.  Symmetric jet coordinates are keyed by a single multi-index, never by
 a tuple of repeated directions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -18,12 +18,25 @@ class RangeMismatchError(ValueError):
 class MultiIndex:
     names: tuple[str, ...]
     exponents: tuple[int, ...]
+    # Computed once at construction and kept out of equality; pickling
+    # rebuilds them (see __reduce__), since string hashes differ per process.
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.exponents):
             raise ValueError("one exponent per range name required")
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be non-negative")
+        object.__setattr__(self, "_hash", hash((self.names, self.exponents)))
+        # graded order, x-before-y within a grade
+        object.__setattr__(self, "_key", (sum(self.exponents), tuple(-e for e in self.exponents)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (MultiIndex, (self.names, self.exponents))
 
     @classmethod
     def zero(cls, names: tuple[str, ...]) -> "MultiIndex":
@@ -45,7 +58,7 @@ class MultiIndex:
 
     @property
     def order(self) -> int:
-        return sum(self.exponents)
+        return self._key[0]
 
     def exponent(self, name: str) -> int:
         try:
@@ -76,8 +89,7 @@ class MultiIndex:
         return tuple(out)
 
     def sort_key(self) -> tuple:
-        # graded order, x-before-y within a grade
-        return (self.order, tuple(-e for e in self.exponents))
+        return self._key
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.exponents)) + ")"

@@ -13,10 +13,10 @@ l = m is exercised by the test suite).
 from dataclasses import dataclass
 
 from .bundle import BundleSpec, JetCoord, jet_atom
-from .expr import Expr, Sym, ZERO, diff
+from .expr import Expr, Sym, ZERO, diff, partials, sum_exprs
 from .forms import Form, interior_product
 from .jetcalc import Morphism, total_derivative, validate_expression
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, indices_up_to
 
 
 class ProjectabilityError(RuntimeError):
@@ -91,15 +91,17 @@ def vertical_differential(lag: Lagrangian) -> Morphism:
     coordinates with the matching partials as coefficients."""
     bundle = lag.bundle
     zero = bundle.zero_index()
+    pairs = []  # (order-<=1 atom, its vertical companion)
+    for p in bundle.fiber:
+        pairs.append((Sym(p), jet_atom(p, zero, vertical=True)))
+        for name in bundle.base:
+            a = _first_jet_atom(bundle, p, name)
+            pairs.append((a, jet_atom(p, a.alpha, vertical=True)))
+    wanted = {a for a, _ in pairs}
 
     def lift(c: Expr) -> Expr:
-        out = ZERO
-        for p in bundle.fiber:
-            out = out + diff(c, Sym(p)) * Expr.atom(jet_atom(p, zero, vertical=True))
-            for name in bundle.base:
-                a = _first_jet_atom(bundle, p, name)
-                out = out + diff(c, a) * Expr.atom(jet_atom(p, a.alpha, vertical=True))
-        return out
+        parts = partials(c, wanted.__contains__)
+        return sum_exprs(parts[a] * Expr.atom(va) for a, va in pairs if a in parts)
 
     return Morphism(bundle, 1, 1, lag.value.map_coeffs(lift))
 
@@ -130,17 +132,20 @@ def momentum_divergence(lag: Lagrangian) -> Morphism:
     bundle = lag.bundle
     zero = bundle.zero_index()
     value = Form.zero(lag.degree, bundle.base)
+    first_jets = {_first_jet_atom(bundle, p, name) for p in bundle.fiber for name in bundle.base}
     for key, c in lag.value.items():
+        parts = partials(c, first_jets.__contains__)
         for p in bundle.fiber:
             x_p = Expr.atom(jet_atom(p, zero, vertical=True))
-            acc = ZERO
+            summands = []
             for name in bundle.base:
                 a = _first_jet_atom(bundle, p, name)
-                b = diff(c, a)
-                if b.is_zero:
+                b = parts.get(a)
+                if b is None:
                     continue
-                acc = acc + total_derivative(b, name, bundle, 1, None) * x_p
-                acc = acc + b * Expr.atom(jet_atom(p, a.alpha, vertical=True))
+                summands.append(total_derivative(b, name, bundle, 1, None) * x_p)
+                summands.append(b * Expr.atom(jet_atom(p, a.alpha, vertical=True)))
+            acc = sum_exprs(summands)
             if not acc.is_zero:
                 value = value + Form(lag.degree, bundle.base, {key: acc})
     return Morphism(bundle, 2, 1, value)
@@ -162,22 +167,25 @@ def euler_lagrange(lag: Lagrangian) -> EulerLagrangeResult:
 
     components: dict[tuple[str, tuple[int, ...]], Expr] = {}
     report: dict[tuple[str, str, tuple[int, ...]], Expr] = {}
+    verticals = {jet_atom(p, alpha, vertical=True) for p in bundle.fiber for alpha in indices_up_to(bundle.base, 1)}
     keys = sorted(set(difference.coeffs) | set(lag.value.coeffs))
     for key in keys:
         e = difference.coefficient(key)
+        parts = partials(e, verticals.__contains__)
         for p in bundle.fiber:
-            components[(p, key)] = diff(e, jet_atom(p, zero, vertical=True))
+            components[(p, key)] = parts.get(jet_atom(p, zero, vertical=True), ZERO)
             for name in bundle.base:
-                residual = diff(e, jet_atom(p, MultiIndex.unit(bundle.base, name), vertical=True))
+                residual = parts.get(jet_atom(p, MultiIndex.unit(bundle.base, name), vertical=True), ZERO)
                 report[(p, name, key)] = residual
         # the difference must be linear homogeneous in the vertical block
-        recomposed = ZERO
+        summands = []
         for p in bundle.fiber:
-            recomposed = recomposed + components[(p, key)] * Expr.atom(jet_atom(p, zero, vertical=True))
+            summands.append(components[(p, key)] * Expr.atom(jet_atom(p, zero, vertical=True)))
             for name in bundle.base:
-                recomposed = recomposed + report[(p, name, key)] * Expr.atom(
-                    jet_atom(p, MultiIndex.unit(bundle.base, name), vertical=True)
+                summands.append(
+                    report[(p, name, key)] * Expr.atom(jet_atom(p, MultiIndex.unit(bundle.base, name), vertical=True))
                 )
+        recomposed = sum_exprs(summands)
         if recomposed != e:
             raise ProjectabilityError({(key,): e - recomposed})
 

@@ -276,8 +276,6 @@ class Expr:
         if len(other._terms) == 1:
             # Multiplying by one monomial is injective: no terms collide or cancel.
             ((m2, c2),) = other._terms.items()
-            if c2 == 1:
-                return Expr._frozen({_mono_mul(m1, m2): c1 for m1, c1 in self._terms.items()})
             return Expr._frozen({_mono_mul(m1, m2): c1 * c2 for m1, c1 in self._terms.items()})
         out: dict = {}
         for m1, c1 in self._terms.items():

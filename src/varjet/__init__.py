@@ -17,7 +17,7 @@ from .bundle import (
     enumerate_jet_coordinates,
     jet_atom,
 )
-from .expr import Expr, FuncAtom, Sym, cos, diff, evaluate, exp, function, ln, normalize, sin, substitute, sym
+from .expr import Expr, FuncAtom, Sym, cos, diff, evaluate, exp, function, ln, sin, substitute, sym
 from .fiberwise import (
     BaseMorphism,
     SectionFamily,
@@ -41,7 +41,7 @@ from .jetcalc import (
     plug_vertical,
     total_derivative,
 )
-from .multiindex import MultiIndex, RangeMismatchError, increment
+from .multiindex import MultiIndex, RangeMismatchError
 from .oracle import GridSection, StencilError, bump, check_action_variation, check_total_derivative, eval_jet, sample_section
 from .parser import ParseContext, ParseError, parse_expression, parse_form_value
 from .variational import EulerLagrangeResult, Lagrangian, ProjectabilityError, euler_lagrange, momentum, vertical_differential
@@ -96,12 +96,10 @@ __all__ = [
     "formal_exterior_differential_direct",
     "function",
     "holonomic_prolongation",
-    "increment",
     "interior_product",
     "jet_atom",
     "ln",
     "momentum",
-    "normalize",
     "parse_expression",
     "parse_form_value",
     "plug_vertical",

@@ -40,6 +40,8 @@ class JetCoord:
     # Cached at construction, outside equality; see Sym in varjet.expr.
     _hash: int = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
+    # Rendered on the first label() call; never pickled (see __reduce__).
+    _label: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.alpha.order == 0 and not self.vertical:
@@ -57,6 +59,11 @@ class JetCoord:
         return self._key
 
     def label(self) -> str:
+        if self._label is None:
+            object.__setattr__(self, "_label", self._render())
+        return self._label
+
+    def _render(self) -> str:
         head = ("d" + self.fiber) if self.vertical else self.fiber
         if self.alpha.order == 0:
             return head

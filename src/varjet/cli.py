@@ -27,7 +27,7 @@ from .fiberwise import check_functional_commutation, fiberwise_jet
 from .jetcalc import check_naturality, formal_exterior_differential
 from .oracle import bump, check_action_variation, check_total_derivative, sample_section
 from .parser import ParseError
-from .render import expr_latex, expr_text, form_json, form_latex, form_text
+from .render import expr_latex, form_json, form_latex, form_text
 from .specfile import SpecFile, Task, load_specfile_path
 from .variational import ProjectabilityError, euler_lagrange
 
@@ -47,7 +47,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _render_expr(e: Expr, args) -> str:
-    return expr_latex(e) if args.latex else expr_text(e)
+    return expr_latex(e) if args.latex else str(e)
 
 
 def _component_label(fiber: str, key: tuple[int, ...], top: bool) -> str:
@@ -99,7 +99,7 @@ def run_el(spec: SpecFile, task: Task, args, out) -> dict:
     }
     for (fiber, key), component in sorted(result.components.items()):
         label = _component_label(fiber, key, top)
-        payload["components"].append({"fiber": fiber, "basis": list(key), "expr": expr_text(component)})
+        payload["components"].append({"fiber": fiber, "basis": list(key), "expr": str(component)})
         if not args.json:
             print(f"{label} = {_render_expr(component, args)}", file=out)
     if not args.json:
@@ -140,7 +140,7 @@ def run_fjet(spec: SpecFile, task: Task, args, out) -> dict:
         "k": k,
         "r": r,
         "passed": True,
-        "entries": [{"coordinate": c.label(), "expr": expr_text(v)} for c, v in ordered],
+        "entries": [{"coordinate": c.label(), "expr": str(v)} for c, v in ordered],
     }
     if not args.json:
         for c, v in ordered:

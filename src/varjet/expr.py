@@ -4,6 +4,9 @@ An :class:`Expr` is an immutable Laurent polynomial with rational
 coefficients over *atoms*.  Atoms are plain coordinate symbols
 (:class:`Sym`), jet coordinates (defined in :mod:`varjet.bundle`) and
 applications of elementary or formal function symbols (:class:`FuncAtom`).
+A coefficient is an ``int`` when its value is integral and a
+:class:`~fractions.Fraction` otherwise; the two compare and hash alike, so
+the type never changes a result.
 Every arithmetic operation produces the canonical form directly: an
 expanded sum of monomials with a fixed graded-lexicographic term order, so
 structural equality decides zero on the polynomial class.
@@ -24,6 +27,15 @@ _BUILTIN_FUNCS = ("sin", "cos", "exp", "ln", "inv")
 
 class EvaluationError(ValueError):
     """Numeric evaluation hit an atom with no value (or a formal symbol)."""
+
+
+def _exact(value) -> int | Fraction:
+    """``value`` as a coefficient: an ``int`` if integral, else a ``Fraction``.
+    Sums and products of ints stay ints, so only entry points and division call this."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,6 +83,8 @@ class FuncAtom:
     derivs: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
+    # Rendered on the first label() call; never pickled (see __reduce__).
+    _label: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if len(self.derivs) != len(self.args):
@@ -90,6 +104,11 @@ class FuncAtom:
         return self._key
 
     def label(self) -> str:
+        if self._label is None:
+            object.__setattr__(self, "_label", self._render())
+        return self._label
+
+    def _render(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
         if self.func == "inv":
             return f"(1/({inner}))"
@@ -106,7 +125,7 @@ class FuncAtom:
 
 def _mono_key(mono: Monomial) -> tuple:
     deg = sum(e for _, e in mono)
-    return (deg, tuple((a.sort_key(), e) for a, e in mono))
+    return (deg, tuple((a._key, e) for a, e in mono))
 
 
 def _lowered(mono: Monomial, i: int, k: int) -> Monomial:
@@ -143,7 +162,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out = []
     i = j = 0
     na, nb = len(a), len(b)
-    ka, kb = a[0][0].sort_key(), b[0][0].sort_key()
+    ka, kb = a[0][0]._key, b[0][0]._key
     while True:
         if ka < kb:
             out.append(a[i])
@@ -151,14 +170,14 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
             if i == na:
                 out.extend(b[j:])
                 break
-            ka = a[i][0].sort_key()
+            ka = a[i][0]._key
         elif kb < ka:
             out.append(b[j])
             j += 1
             if j == nb:
                 out.extend(a[i:])
                 break
-            kb = b[j][0].sort_key()
+            kb = b[j][0]._key
         else:  # sort keys are unique per atom: the same atom on both sides
             e = a[i][1] + b[j][1]
             if e:
@@ -168,7 +187,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
             if i == na or j == nb:
                 out.extend(a[i:] if j == nb else b[j:])
                 break
-            ka, kb = a[i][0].sort_key(), b[j][0].sort_key()
+            ka, kb = a[i][0]._key, b[j][0]._key
     return tuple(out)
 
 
@@ -208,12 +227,12 @@ class Expr:
 
     @classmethod
     def const(cls, value) -> "Expr":
-        q = Fraction(value)
+        q = _exact(value)
         return cls._frozen({(): q} if q else {})
 
     @classmethod
     def atom(cls, a) -> "Expr":
-        return cls._frozen({((a, 1),): Fraction(1)})
+        return cls._frozen({((a, 1),): 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -228,7 +247,7 @@ class Expr:
     def as_fraction(self) -> Fraction:
         if not self.is_const:
             raise ValueError(f"{self} is not constant")
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get((), 0))
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Term list in the canonical graded-lexicographic order."""
@@ -310,7 +329,7 @@ class Expr:
         if len(self._terms) == 1:
             ((mono, coeff),) = self._terms.items()
             inv_mono = tuple((a, -e) for a, e in mono)  # same atoms, still sorted
-            return Expr({inv_mono: Fraction(1) / coeff})
+            return Expr({inv_mono: _exact(Fraction(1) / coeff)})
         return Expr.atom(FuncAtom("inv", (self,), (0,)))
 
     def __truediv__(self, other) -> "Expr":
@@ -514,15 +533,6 @@ def _substitute_atom(a, bindings: Mapping) -> Expr:
         if new_args != a.args:
             return Expr.atom(FuncAtom(a.func, new_args, a.derivs))
     return Expr.atom(a)
-
-
-def normalize(e: Expr) -> Expr:
-    """Return the canonical form.
-
-    Construction already canonicalizes, so this is idempotent by design; it
-    re-derives the term map to serve as an explicit entry point.
-    """
-    return Expr(dict(e._terms))
 
 
 def evaluate(e: Expr, env: Mapping, funcs: Mapping[str, Callable] | None = None):

@@ -95,11 +95,6 @@ class MultiIndex:
         return "(" + ",".join(map(str, self.exponents)) + ")"
 
 
-def increment(alpha: MultiIndex, name: str) -> MultiIndex:
-    """Raise the exponent of one range coordinate by one."""
-    return alpha.incremented(name)
-
-
 def indices_of_order(names: tuple[str, ...], order: int) -> Iterator[MultiIndex]:
     """All multi-indices of exact total order, graded-lex order within the grade."""
     m = len(names)

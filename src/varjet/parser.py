@@ -11,8 +11,9 @@ symbols, and coordinate references resolved against a bundle view:
 
 Form values are sums of ``<expr> dx[i,...]`` terms with 1-based basis axis
 indices (strictly any order, signs resolved), or a bare expression for a
-0-form.  Unknown identifiers and jets beyond the declared orders are
-rejected with position-annotated diagnostics.
+0-form.  Unknown identifiers, jets beyond the declared orders and nesting
+deeper than :data:`MAX_NESTING` are rejected with position-annotated
+diagnostics.
 """
 
 import re
@@ -23,6 +24,12 @@ from .bundle import BundleSpec, jet_atom
 from .expr import Expr, Sym, cos, exp, function, ln, sin
 from .forms import Form, wedge_basis_left
 from .multiindex import MultiIndex
+
+
+# Parentheses and function calls nest at most this deep.  The parser is
+# recursive descent, a few frames per level, so this keeps it and the kernel
+# operations on the parsed expression well inside the recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -91,6 +98,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ctx = context
+        self.depth = 0  # open parentheses and calls around the current token
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -134,14 +142,11 @@ class _Parser:
         return e
 
     def parse_factor(self) -> Expr:
-        tok = self.peek()
-        if tok.text == "-":
-            self.next()
-            return -self.parse_factor()
-        if tok.text == "+":
-            self.next()
-            return self.parse_factor()
-        return self.parse_power()
+        negate = False
+        while self.peek().text in ("+", "-"):
+            negate ^= self.next().text == "-"
+        e = self.parse_power()
+        return -e if negate else e
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -165,7 +170,7 @@ class _Parser:
         if tok.kind == "NUMBER":
             return Expr.const(Fraction(tok.text))
         if tok.text == "(":
-            e = self.parse_expr()
+            e = self.parse_nested(tok)
             self.expect(")")
             return e
         if tok.kind == "IDENT":
@@ -185,11 +190,11 @@ class _Parser:
 
     def parse_call(self, tok: Token) -> Expr:
         name = tok.text
-        self.expect("(")
-        args = [self.parse_expr()]
+        paren = self.expect("(")
+        args = [self.parse_nested(paren)]
         while self.peek().text == ",":
             self.next()
-            args.append(self.parse_expr())
+            args.append(self.parse_nested(paren))
         self.expect(")")
         if name in _BUILTINS:
             if len(args) != 1:
@@ -201,6 +206,15 @@ class _Parser:
         if len(args) != arity:
             self.fail(f"{name} takes {arity} argument(s), got {len(args)}", tok)
         return function(name, *args)
+
+    def parse_nested(self, paren: Token) -> Expr:
+        """The expression inside the parenthesis ``paren`` opens."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"parentheses and calls nest deeper than {MAX_NESTING} levels", paren)
+        self.depth += 1
+        e = self.parse_expr()
+        self.depth -= 1
+        return e
 
     def parse_int_list(self) -> list[int]:
         out = []

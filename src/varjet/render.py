@@ -14,10 +14,6 @@ from .forms import Form
 _LATEX_FUNCS = {"sin": r"\sin", "cos": r"\cos", "exp": r"\exp", "ln": r"\ln"}
 
 
-def expr_text(e: Expr) -> str:
-    return str(e)
-
-
 def _atom_latex(a) -> str:
     if isinstance(a, Sym):
         return a.name

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from varjet.cli import main
+from varjet.parser import MAX_NESTING
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -78,6 +79,31 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "el", str(bad))
     assert code == 1
     assert "error" in err
+
+
+def nested_spec(tmp_path, opening: str, depth: int) -> str:
+    body = opening * depth + "u_x" + ")" * depth
+    spec = tmp_path / f"nested{depth}.vspec"
+    spec.write_text(f"[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = {body} dx[1]\n")
+    return str(spec)
+
+
+@pytest.mark.parametrize("opening", ["(", "sin("])
+def test_deep_nesting_is_a_one_line_parse_error(tmp_path, capsys, opening):
+    code, out, err = run(capsys, "el", nested_spec(tmp_path, opening, 3000))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    # the offending token is the parenthesis one level past the limit
+    column = len("lagrangian L = ") + MAX_NESTING * len(opening) + len(opening)
+    assert len(lines) == 1 and lines[0].startswith(f"error: 5:{column}: ")
+    assert f"deeper than {MAX_NESTING} levels" in lines[0]
+    assert "Traceback" not in err
+
+
+def test_nesting_below_the_limit_still_runs(tmp_path, capsys):
+    code, out, err = run(capsys, "el", nested_spec(tmp_path, "(", MAX_NESTING - 1))
+    assert code == 0 and err == ""
+    assert "E_u = 0" in out
 
 
 def test_missing_file_exit_code(capsys):

@@ -13,7 +13,6 @@ from varjet.expr import (
     exp,
     function,
     ln,
-    normalize,
     sin,
     substitute,
     sym,
@@ -145,15 +144,14 @@ def test_evaluate():
 
 
 @given(polys())
-def test_normalize_idempotent(e):
-    assert normalize(normalize(e)) == normalize(e)
-    assert normalize(e) == e
+def test_construction_is_canonical(e):
+    assert Expr(dict(e._terms)) == e
 
 
 @given(polys())
 def test_zero_decision_on_polynomials(e):
     assert (e - e).is_zero
-    assert normalize(e - e) == Expr.const(0)
+    assert e - e == Expr.const(0)
 
 
 @given(smooth_exprs(), st.sampled_from(ATOMS), st.sampled_from(ATOMS))

@@ -14,9 +14,11 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from varjet.bundle import BundleSpec, JetCoord, jet_atom
-from varjet.expr import Expr, FuncAtom, Sym, cos, diff, exp, function, ln, partials, sin, sum_exprs
+from varjet.expr import Expr, FuncAtom, Sym, cos, diff, exp, function, ln, partials, sin, substitute, sum_exprs
+from varjet.forms import Form
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import MultiIndex, indices_up_to
+from varjet.render import expr_latex, form_json
 
 BUNDLE = BundleSpec(("x", "y"), ("u", "v"))
 R, S = 2, 1  # declared orders of the drawn expressions
@@ -221,3 +223,114 @@ def test_cancelled_monomial_returns_at_the_end():
 def test_multiindex_order_is_cached_sort_key():
     alpha = MultiIndex(("x", "y"), (2, 1))
     assert alpha.order == 3 and alpha.sort_key() == (3, (-2, -1))
+
+
+# -- coefficient types -------------------------------------------------------------
+#
+# A coefficient is an ``int`` when integral and a ``Fraction`` otherwise, and
+# only the entry points convert.  The two types compare and hash alike, so an
+# expression built from ``Fraction`` leaves (through the raw constructor,
+# which keeps them) must give the same results and texts as one built from
+# ``int`` leaves.
+
+FUNCS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "inv": lambda e: 1 / (e + Expr.atom(Sym("x")))}
+
+
+def recipes():
+    """Expression trees over small integer constants and bundle atoms."""
+    leaves = st.one_of(
+        st.tuples(st.just("const"), st.integers(-4, 4)),
+        st.tuples(st.just("atom"), st.integers(0, len(ATOMS) - 1)),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "mul"]), inner, inner),
+            st.tuples(st.just("pow"), inner, st.integers(-2, 3)),
+            st.tuples(st.just("div"), inner, st.integers(-3, 3).filter(bool)),
+            st.tuples(st.just("func"), st.sampled_from(sorted(FUNCS)), inner),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def build(recipe, coeff) -> Expr:
+    """The expression of ``recipe``, every leaf coefficient made by ``coeff``."""
+    kind = recipe[0]
+    if kind == "const":
+        return Expr({(): coeff(recipe[1])})
+    if kind == "atom":
+        return Expr({((ATOMS[recipe[1]], 1),): coeff(1)})
+    if kind == "add":
+        return build(recipe[1], coeff) + build(recipe[2], coeff)
+    if kind == "mul":
+        return build(recipe[1], coeff) * build(recipe[2], coeff)
+    if kind == "div":
+        return build(recipe[1], coeff) / Expr({(): coeff(recipe[2])})
+    if kind == "func":
+        return FUNCS[recipe[1]](build(recipe[2], coeff))
+    base = build(recipe[1], coeff)
+    return base ** recipe[2] if recipe[2] >= 0 or not base.is_zero else base
+
+
+def coefficients(e: Expr):
+    """Every coefficient of ``e``, those inside function arguments included."""
+    for mono, c in e._terms.items():
+        yield c
+        for a, _ in mono:
+            if isinstance(a, FuncAtom):
+                for arg in a.args:
+                    yield from coefficients(arg)
+
+
+def assert_same(a: Expr, b: Expr) -> None:
+    assert a == b and hash(a) == hash(b)
+    assert list(a._terms) == list(b._terms)
+    assert str(a) == str(b)
+    assert expr_latex(a) == expr_latex(b)
+    assert form_json(Form(1, BUNDLE.base, {(1,): a})) == form_json(Form(1, BUNDLE.base, {(1,): b}))
+    for e in (a, b):
+        assert all(type(c) in (int, Fraction) for c in coefficients(e))
+
+
+def int_and_fraction(recipe) -> tuple[Expr, Expr]:
+    return build(recipe, int), build(recipe, Fraction)
+
+
+@given(recipes(), recipes(), st.integers(0, 3))
+def test_int_and_fraction_leaves_agree_under_arithmetic(r1, r2, k):
+    (a, fa), (b, fb) = int_and_fraction(r1), int_and_fraction(r2)
+    assert_same(a, fa)
+    assert_same(a + b, fa + fb)
+    assert_same(a * b, fa * fb)
+    assert_same(a**k, fa**k)
+    if not a.is_zero:
+        assert_same(a.inverse(), fa.inverse())
+        assert_same(a ** -k, fa ** -k)
+
+
+@given(recipes(), st.sampled_from(ATOMS), st.sampled_from(BUNDLE.base))
+def test_int_and_fraction_leaves_agree_under_calculus(recipe, atom, direction):
+    e, fe = int_and_fraction(recipe)
+    assert_same(diff(e, atom), diff(fe, atom))
+    found, ffound = partials(e, lambda a: True), partials(fe, lambda a: True)
+    assert list(found) == list(ffound)
+    for a in found:
+        assert_same(found[a], ffound[a])
+    assert_same(total_derivative(e, direction, BUNDLE, R, S), total_derivative(fe, direction, BUNDLE, R, S))
+
+
+@given(recipes(), recipes(), st.sampled_from(ATOMS))
+def test_int_and_fraction_leaves_agree_under_substitution(recipe, bound, atom):
+    (e, fe), (v, fv) = int_and_fraction(recipe), int_and_fraction(bound)
+    assert_same(substitute(e, {atom: v}), substitute(fe, {atom: fv}))
+
+
+def test_entry_points_store_integral_values_as_int():
+    assert type(Expr.const(Fraction(6, 3))._terms[()]) is int
+    assert type(Expr.const(True)._terms[()]) is int
+    assert type(Expr.const(2.5)._terms[()]) is Fraction
+    assert list(Expr.atom(Sym("u"))._terms.values()) == [1]
+    assert type(next(iter((Expr.const(Fraction(1, 3)) * Expr.atom(Sym("u"))).inverse()._terms.values()))) is int
+    for e in (Expr.const(0), Expr.const(3), Expr.const(Fraction(7, 2)), Expr({(): Fraction(4)})):
+        assert type(e.as_fraction()) is Fraction and e.as_fraction() == sum(e._terms.values())

@@ -1,25 +1,25 @@
 import pytest
 
-from varjet.multiindex import MultiIndex, RangeMismatchError, increment, indices_up_to
+from varjet.multiindex import MultiIndex, RangeMismatchError, indices_up_to
 
 XY = ("x", "y")
 
 
 def test_increment_examples():
-    assert increment(MultiIndex(XY, (0, 0)), "x") == MultiIndex(XY, (1, 0))
-    assert increment(MultiIndex(XY, (2, 1)), "y") == MultiIndex(XY, (2, 2))
-    twice = increment(increment(MultiIndex(("x",), (0,)), "x"), "x")
+    assert MultiIndex(XY, (0, 0)).incremented("x") == MultiIndex(XY, (1, 0))
+    assert MultiIndex(XY, (2, 1)).incremented("y") == MultiIndex(XY, (2, 2))
+    twice = MultiIndex(("x",), (0,)).incremented("x").incremented("x")
     assert twice == MultiIndex(("x",), (2,))
 
 
 def test_increment_raises_order():
     alpha = MultiIndex(XY, (1, 2))
-    assert increment(alpha, "x").order == alpha.order + 1
+    assert alpha.incremented("x").order == alpha.order + 1
 
 
 def test_range_mismatch():
     with pytest.raises(RangeMismatchError):
-        increment(MultiIndex(XY, (0, 0)), "t")
+        MultiIndex(XY, (0, 0)).incremented("t")
     with pytest.raises(RangeMismatchError):
         MultiIndex(XY, (0, 0)).exponent("t")
 

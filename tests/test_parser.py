@@ -7,7 +7,7 @@ from varjet.bundle import BundleSpec, enumerate_jet_coordinates
 from varjet.expr import Expr, Sym, function, sym
 from varjet.forms import Form
 from varjet.multiindex import MultiIndex
-from varjet.parser import ParseContext, ParseError, parse_expression, parse_form_value
+from varjet.parser import MAX_NESTING, ParseContext, ParseError, parse_expression, parse_form_value
 
 B1 = BundleSpec(("x",), ("u",))
 B2 = BundleSpec(("x", "y"), ("u", "v"))
@@ -97,6 +97,23 @@ def test_division_by_zero_is_a_parse_error():
         parse_expression("u/0", CTX1)
     with pytest.raises(ParseError):
         parse_expression("u/(1 - 1)", CTX1)
+
+
+def test_nesting_depth_is_bounded():
+    ctx = ParseContext(B1, r=1, functions={"F": 1})
+    u = sym("u")
+    assert parse_expression("(" * MAX_NESTING + "u" + ")" * MAX_NESTING, ctx) == u
+    assert parse_expression("F(" * MAX_NESTING + "u" + ")" * MAX_NESTING, ctx).atoms() >= {Sym("u")}
+    for opening in ("(", "F(", "sin(", "(F("):
+        depth = MAX_NESTING + 1
+        text = opening * depth + "u" + ")" * (depth * opening.count("("))
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}"):
+            parse_expression(text, ctx)
+
+
+def test_long_sign_chains_parse_without_recursion():
+    assert parse_expression("-" * 3000 + "u", CTX1) == sym("u")
+    assert parse_expression("-+" * 1501 + "u", CTX1) == -sym("u")
 
 
 @st.composite

@@ -61,20 +61,13 @@ def test_cached_fields_are_rebuilt_not_copied():
     assert JetCoord("u", MultiIndex(("x",), (1,))).__reduce__()[1] == ("u", MultiIndex(("x",), (1,)), False)
 
 
-def test_unpickled_values_are_found_under_another_hash_seed():
+def round_trip_across_hash_seeds(checks: str) -> None:
+    """Pickle ``values`` under one hash seed, load them under another and run
+    ``checks`` there, with ``values`` and ``loaded`` in scope."""
     src = str(Path(varjet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     dump = BUILD + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(values))\n"
-    load = BUILD + (
-        "import pickle, sys\n"
-        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
-        "table = {v: i for i, v in enumerate(values)}\n"
-        "back = {v: i for i, v in enumerate(loaded)}\n"
-        "assert [table.get(v) for v in loaded] == list(range(len(values))), 'loaded key not found'\n"
-        "assert [back.get(v) for v in values] == list(range(len(values))), 'fresh key not found'\n"
-        "assert [hash(v) for v in loaded] == [hash(v) for v in values]\n"
-        "print('ok')\n"
-    )
+    load = BUILD + "import pickle, sys\nloaded = pickle.loads(sys.stdin.buffer.read())\n" + checks + "print('ok')\n"
     blob = subprocess.run(
         [sys.executable, "-c", dump], env=dict(env, PYTHONHASHSEED="1"), capture_output=True, check=True
     ).stdout
@@ -83,6 +76,61 @@ def test_unpickled_values_are_found_under_another_hash_seed():
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.decode().strip() == "ok"
+
+
+def test_unpickled_values_are_found_under_another_hash_seed():
+    round_trip_across_hash_seeds(
+        "table = {v: i for i, v in enumerate(values)}\n"
+        "back = {v: i for i, v in enumerate(loaded)}\n"
+        "assert [table.get(v) for v in loaded] == list(range(len(values))), 'loaded key not found'\n"
+        "assert [back.get(v) for v in values] == list(range(len(values))), 'fresh key not found'\n"
+        "assert [hash(v) for v in loaded] == [hash(v) for v in values]\n"
+    )
+
+
+def test_int_coefficients_survive_another_hash_seed():
+    # ux * du - 3 * u**2 has the int coefficients 1 and -3
+    assert [type(c) for c in built()[4]._terms.values()] == [int, int]
+    round_trip_across_hash_seeds(
+        "e, fresh = loaded[4], values[4]\n"
+        "assert e == fresh and hash(e) == hash(fresh) and str(e) == str(fresh)\n"
+        "assert list(e._terms.items()) == list(fresh._terms.items())\n"
+        "assert [type(c) for c in e._terms.values()] == [int, int]\n"
+    )
+
+
+def labelled() -> list:
+    """Fresh atoms whose labels take each rendering branch, with their text."""
+    return [
+        (JetCoord("u", MultiIndex(("x", "y"), (2, 1))), "u_xxy"),
+        (JetCoord("u", MultiIndex(("x", "y"), (0, 0)), vertical=True), "du"),
+        (JetCoord("v", MultiIndex(("x", "y"), (0, 1)), vertical=True), "dv_y"),
+        (JetCoord("u", MultiIndex(("x1", "x2"), (1, 2))), "u[1,2]"),
+        (FuncAtom("sin", (sym("u") * sym("x"),), (0,)), "sin(u*x)"),
+        (FuncAtom("inv", (sym("u") + 1,), (0,)), "(1/(1 + u))"),
+        (FuncAtom("F", (sym("u"),), (2,)), "F''(u)"),
+        (FuncAtom("F", (sym("u"), sym("x")), (1, 2)), "D[1,2]F(u, x)"),
+    ]
+
+
+def test_cached_labels_equal_fresh_ones():
+    for atom, text in labelled():
+        fresh = pickle.loads(pickle.dumps(atom))
+        assert atom._label is None and fresh._label is None
+        assert atom.label() == text == fresh._render()
+        assert atom._label == text and atom.label() is atom.label()
+
+
+def test_rendered_atoms_equal_hash_and_pickle_like_fresh_ones():
+    for atom, text in labelled():
+        atom.label()
+        fresh = type(atom)(*atom.__reduce__()[1])
+        assert fresh._label is None and atom._label == text
+        assert atom == fresh and hash(atom) == hash(fresh)
+        assert repr(atom) == repr(fresh) == text
+        copy = pickle.loads(pickle.dumps(atom))
+        assert copy._label is None and copy == atom and hash(copy) == hash(atom)
+        assert text.encode() not in pickle.dumps(atom)
 
 
 def test_composite_values_pickle():

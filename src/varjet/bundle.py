@@ -114,10 +114,6 @@ class BundleSpec:
     def n(self) -> int:
         return len(self.fiber)
 
-    @property
-    def is_two_fibered(self) -> bool:
-        return bool(self.second)
-
     def over_fiber(self) -> "BundleSpec":
         """Top level fibered over the intermediate space: base dim m + n."""
         if not self.second:
@@ -131,16 +127,6 @@ class BundleSpec:
         return BundleSpec(self.base, self.fiber + self.second)
 
     # -- atoms ---------------------------------------------------------------
-
-    def base_atom(self, name: str) -> Sym:
-        if name not in self.base:
-            raise CoordinateError(f"{name!r} is not a base coordinate")
-        return Sym(name)
-
-    def fiber_atom(self, name: str) -> Sym:
-        if name not in self.fiber:
-            raise CoordinateError(f"{name!r} is not a fiber coordinate")
-        return Sym(name)
 
     def coord(self, name: str) -> Expr:
         if name not in self.base + self.fiber + self.second:

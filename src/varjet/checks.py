@@ -48,6 +48,10 @@ from .randgen import (
 from .variational import Lagrangian, euler_lagrange, momentum, momentum_divergence
 
 
+# Oracle grid points per axis and tolerance, by base dimension.
+ORACLE_DEFAULTS = {1: (2000, 1e-4), 2: (200, 1e-3)}
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -403,7 +407,12 @@ def _dirichlet_setup(grid: int):
 
 
 @_timed
-def oracle_action_variation(grid_1d: int = 2000, grid_2d: int = 200, tol_1d: float = 1e-4, tol_2d: float = 1e-3) -> CheckResult:
+def oracle_action_variation(
+    grid_1d: int = ORACLE_DEFAULTS[1][0],
+    grid_2d: int = ORACLE_DEFAULTS[2][0],
+    tol_1d: float = ORACLE_DEFAULTS[1][1],
+    tol_2d: float = ORACLE_DEFAULTS[2][1],
+) -> CheckResult:
     """Euler-Lagrange components are the functional derivative of the action."""
     lag, section, eta = _oscillator_setup(grid_1d)
     _, _, err1 = check_action_variation(lag, section, eta)
@@ -436,17 +445,14 @@ ALL_CHECKS = (
 )
 
 
-def run_all(seed: int = 0, grid_1d: int = 2000, grid_2d: int = 200, tol_1d: float = 1e-4, tol_2d: float = 1e-3) -> list[CheckResult]:
-    results = []
-    for fn in ALL_CHECKS:
-        if fn.__name__ == "oracle_action_variation":
-            results.append(fn(grid_1d=grid_1d, grid_2d=grid_2d, tol_1d=tol_1d, tol_2d=tol_2d))
-        elif fn.__name__ == "oracle_total_derivative":
-            results.append(fn(grid=min(grid_1d, 1000), tolerance=tol_1d))
-        elif fn.__name__ == "oracle_convergence":
-            results.append(fn())
-        elif fn.__name__ == "el_classical_examples":
-            results.append(fn())
-        else:
-            results.append(fn(seed=seed))
-    return results
+def run_all(seed: int = 0, oracle: dict[int, tuple[int, float]] = ORACLE_DEFAULTS) -> list[CheckResult]:
+    """Every check of ``ALL_CHECKS``; ``oracle`` maps each base dimension to
+    its grid points per axis and tolerance."""
+    (grid_1d, tol_1d), (grid_2d, tol_2d) = oracle[1], oracle[2]
+    kwargs = {
+        el_classical_examples: {},
+        oracle_total_derivative: {"grid": min(grid_1d, 1000), "tolerance": tol_1d},
+        oracle_convergence: {},
+        oracle_action_variation: {"grid_1d": grid_1d, "grid_2d": grid_2d, "tol_1d": tol_1d, "tol_2d": tol_2d},
+    }
+    return [fn(**kwargs.get(fn, {"seed": seed})) for fn in ALL_CHECKS]

@@ -11,32 +11,41 @@ Usage: ``varjet <command> <specfile...> [flags]`` with commands
 * ``check``    full randomized property suite (plus any file tasks)
 
 Results go to stdout, diagnostics to stderr.  Exit code 0 on success, 1 on
-parse or validation errors, 2 on a failed mathematical check.
+usage, parse or validation errors, 2 on a failed mathematical check.
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bundle import CoordinateError, OrderError
-from .checks import run_all
-from .expr import Expr
+from .checks import ORACLE_DEFAULTS, run_all
 from .fiberwise import check_functional_commutation, fiberwise_jet
+from .forms import Form
 from .jetcalc import check_naturality, formal_exterior_differential
 from .oracle import bump, check_action_variation, check_total_derivative, sample_section
 from .parser import ParseError
 from .render import expr_latex, form_json, form_latex, form_text
-from .specfile import SpecFile, Task, load_specfile_path
+from .specfile import TASK_KINDS, SpecFile, Task, load_specfile_path
 from .variational import ProjectabilityError, euler_lagrange
 
-_COMMANDS = ("el", "fed", "fjet", "natural", "commute", "oracle", "check")
+# Oracle grids: at least MIN_GRID points per axis, at most MAX_GRID_POINTS in all.
+MIN_GRID = 5
+MAX_GRID_POINTS = 10**6
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # A usage error ends like any other input error: one line, exit 1.
+        raise ValueError(message)
 
 
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="varjet", description="variational calculus on jet bundles")
-    ap.add_argument("command", choices=_COMMANDS)
+    ap = _ArgumentParser(prog="varjet", description="variational calculus on jet bundles")
+    ap.add_argument("command", choices=TASK_KINDS)
     ap.add_argument("paths", nargs="*", help="declaration files")
     ap.add_argument("--latex", action="store_true", help="render results as LaTeX")
     ap.add_argument("--json", action="store_true", help="render results as JSON")
@@ -46,145 +55,84 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def _render_expr(e: Expr, args) -> str:
-    return expr_latex(e) if args.latex else str(e)
+def _oracle_settings(m: int, grid: int | None, tolerance: float | None) -> tuple[int, float]:
+    """Grid points per axis and tolerance of an m-dimensional oracle: the
+    given values or the defaults, checked before any array is allocated."""
+    default_grid, default_tolerance = ORACLE_DEFAULTS[m]
+    grid = default_grid if grid is None else grid
+    tolerance = default_tolerance if tolerance is None else tolerance
+    if grid < MIN_GRID:
+        raise ValueError(f"an oracle grid needs at least {MIN_GRID} points per axis, got {grid}")
+    if grid**m > MAX_GRID_POINTS:
+        raise ValueError(f"an oracle grid of {grid}^{m} points exceeds the limit of {MAX_GRID_POINTS}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"the tolerance must be finite and positive, got {tolerance}")
+    return grid, tolerance
 
 
-def _component_label(fiber: str, key: tuple[int, ...], top: bool) -> str:
-    if top:
-        return f"E_{fiber}"
-    return f"E_{fiber}[{','.join(map(str, key))}]"
+# -- runners: compute one task, return its payload ------------------------------
 
 
-def _default_tasks(command: str, spec: SpecFile) -> list[Task]:
-    if command == "el" or command == "oracle":
-        return [Task(command, (spec.only("lagrangian").name,), {}, 0)]
-    if command == "fed":
-        return [Task(command, (spec.only("morphism").name,), {}, 0)]
-    if command == "fjet":
-        return [Task(command, (spec.only("basemorphism").name,), {}, 0)]
-    if command == "natural":
-        return [Task(command, (spec.only("morphism").name, spec.only("vertical").name), {}, 0)]
-    if command == "commute":
-        return [
-            Task(
-                command,
-                (spec.only("morphism").name, spec.only("section").name, spec.only("variation").name),
-                {},
-                0,
-            )
-        ]
-    raise AssertionError(command)
-
-
-def _require_names(task: Task, count: int) -> tuple[str, ...]:
-    if len(task.names) != count:
-        raise ParseError(
-            f"task {task.command!r} needs {count} name(s), got {len(task.names)}", task.line or 1, 1
-        )
-    return task.names
-
-
-def run_el(spec: SpecFile, task: Task, args, out) -> dict:
-    (name,) = _require_names(task, 1)
-    lag = spec.find("lagrangian", name).obj
+def run_el(task: Task, args, lag) -> dict:
     result = euler_lagrange(lag)
-    top = lag.is_classical
-    payload = {
+    return {
         "command": "el",
-        "name": name,
-        "classical": top,
+        "name": task.names[0],
+        "classical": lag.is_classical,
         "passed": result.is_projectable,
-        "components": [],
+        "components": [
+            {"fiber": fiber, "basis": list(key), "expr": component}
+            for (fiber, key), component in sorted(result.components.items())
+        ],
     }
-    for (fiber, key), component in sorted(result.components.items()):
-        label = _component_label(fiber, key, top)
-        payload["components"].append({"fiber": fiber, "basis": list(key), "expr": str(component)})
-        if not args.json:
-            print(f"{label} = {_render_expr(component, args)}", file=out)
-    if not args.json:
-        print("projectability: ok (first-order vertical residuals cancel)", file=out)
-    return payload
 
 
-def run_fed(spec: SpecFile, task: Task, args, out) -> dict:
-    (name,) = _require_names(task, 1)
-    morphism = spec.find("morphism", name).obj
+def run_fed(task: Task, args, morphism) -> dict:
     image = formal_exterior_differential(morphism)
-    payload = {
+    return {
         "command": "fed",
-        "name": name,
+        "name": task.names[0],
         "orders": {"r": image.r, "s": image.s},
         "degree": image.degree,
         "passed": True,
-        "value": form_json(image.value),
+        "value": image.value,
     }
-    if not args.json:
-        rendered = form_latex(image.value) if args.latex else form_text(image.value)
-        s_text = "none" if image.s is None else str(image.s)
-        print(f"D{name} = {rendered}", file=out)
-        print(f"orders: r={image.r} s={s_text} degree={image.degree}", file=out)
-    return payload
 
 
-def run_fjet(spec: SpecFile, task: Task, args, out) -> dict:
-    (name,) = _require_names(task, 1)
-    f = spec.find("basemorphism", name).obj
+def run_fjet(task: Task, args, f) -> dict:
     k = task.options.get("k", 1)
     r = task.options.get("r", 1)
     table = fiberwise_jet(f, k, r)
     ordered = sorted(table.items(), key=lambda t: (t[0].target, t[0].beta.sort_key(), t[0].gamma.sort_key()))
-    payload = {
+    return {
         "command": "fjet",
-        "name": name,
+        "name": task.names[0],
         "k": k,
         "r": r,
         "passed": True,
-        "entries": [{"coordinate": c.label(), "expr": str(v)} for c, v in ordered],
+        "entries": [{"coordinate": c.label(), "expr": v} for c, v in ordered],
     }
-    if not args.json:
-        for c, v in ordered:
-            print(f"{c.label()} = {_render_expr(v, args)}", file=out)
-    return payload
 
 
-def run_natural(spec: SpecFile, task: Task, args, out) -> dict:
-    morphism_name, field_name = _require_names(task, 2)
-    morphism = spec.find("morphism", morphism_name).obj
-    field = spec.find("vertical", field_name).obj
+def run_natural(task: Task, args, morphism, field) -> dict:
     k = task.options.get("k", 1)
     report = check_naturality(morphism, field, k)
-    payload = {
-        "command": "natural",
-        "morphism": morphism_name,
-        "field": field_name,
-        "k": k,
-        "passed": report.holds,
-    }
-    if not args.json:
-        print(f"naturality k={k}: {'holds' if report.holds else 'FAILED'}", file=out)
-        if not report.holds:
-            beta, key, lhs, rhs = report.witness
-            print(f"witness: beta={beta} basis={key}: {lhs}  vs  {rhs}", file=out)
+    payload = {"command": "natural", "morphism": task.names[0], "field": task.names[1], "k": k, "passed": report.holds}
+    if not report.holds:
+        beta, key, lhs, rhs = report.witness
+        payload["witness"] = {"beta": str(beta), "basis": key, "lhs": lhs, "rhs": rhs}
     return payload
 
 
-def run_commute(spec: SpecFile, task: Task, args, out) -> dict:
-    morphism_name, section_name, variation_name = _require_names(task, 3)
-    morphism = spec.find("morphism", morphism_name).obj
-    section = spec.find("section", section_name).obj
-    variation = spec.find("variation", variation_name).obj
-    holds = check_functional_commutation(morphism, section, variation)
-    payload = {
+def run_commute(task: Task, args, morphism, section, variation) -> dict:
+    morphism_name, section_name, variation_name = task.names
+    return {
         "command": "commute",
         "morphism": morphism_name,
         "section": section_name,
         "variation": variation_name,
-        "passed": holds,
+        "passed": check_functional_commutation(morphism, section, variation),
     }
-    if not args.json:
-        print(f"section-evaluation commutation: {'holds' if holds else 'FAILED'}", file=out)
-    return payload
 
 
 def _default_section_functions(bundle):
@@ -195,14 +143,11 @@ def _default_section_functions(bundle):
     }
 
 
-def run_oracle(spec: SpecFile, task: Task, args, out) -> dict:
-    (name,) = _require_names(task, 1)
-    lag = spec.find("lagrangian", name).obj
+def run_oracle(task: Task, args, lag) -> dict:
     bundle = lag.bundle
-    if bundle.m not in (1, 2):
+    if bundle.m not in ORACLE_DEFAULTS:
         raise ParseError("the numeric oracle supports base dimension 1 and 2", task.line or 1, 1)
-    grid = args.grid or task.options.get("grid") or (2000 if bundle.m == 1 else 200)
-    tolerance = args.tolerance if args.tolerance is not None else (1e-4 if bundle.m == 1 else 1e-3)
+    grid, tolerance = _oracle_settings(bundle.m, task.options.get("grid") if args.grid is None else args.grid, args.tolerance)
     bounds = ((0.0, 1.0),) * bundle.m
     shape = (grid,) * bundle.m
     section = sample_section(bundle, bounds, shape, _default_section_functions(bundle))
@@ -225,27 +170,14 @@ def run_oracle(spec: SpecFile, task: Task, args, out) -> dict:
         lhs, rhs, err = check_action_variation(lag, section, eta)
         worst = max(worst, err)
         rows.append({"check": "action_variation", "lhs": lhs, "rhs": rhs, "error": err})
-    passed = worst <= tolerance
-    payload = {
+    return {
         "command": "oracle",
-        "name": name,
+        "name": task.names[0],
         "grid": grid,
         "tolerance": tolerance,
-        "passed": passed,
+        "passed": worst <= tolerance,
         "results": rows,
     }
-    if not args.json:
-        for row in rows:
-            if row["check"] == "total_derivative":
-                print(f"total derivative on dx{row['basis']}: max relative error {row['error']:.3e}", file=out)
-            else:
-                print(
-                    f"action variation: derivative {row['lhs']:.6e}  pairing {row['rhs']:.6e}  "
-                    f"relative error {row['error']:.3e}",
-                    file=out,
-                )
-        print(f"oracle: {'ok' if passed else 'FAILED'} (tolerance {tolerance:.1e})", file=out)
-    return payload
 
 
 _RUNNERS = {
@@ -258,64 +190,94 @@ _RUNNERS = {
 }
 
 
-class _Silent:
-    def write(self, *_):
-        pass
+def run_task(spec: SpecFile, task: Task, args) -> dict:
+    return _RUNNERS[task.command](task, args, *spec.operands(task))
 
 
-def run_check(specs: list[tuple[str, SpecFile]], args, out) -> dict:
-    rows = []
-    for path, spec in specs:
-        for task in spec.tasks:
-            if task.command == "check":
-                continue
-            payload = _RUNNERS[task.command](spec, task, _SilentArgs(args), _Silent())
-            rows.append((f"{path}: {task.command} {' '.join(task.names)}", bool(payload["passed"]), ""))
-    grid_1d = args.grid or 2000
-    grid_2d = args.grid or 200
-    tol_1d = args.tolerance if args.tolerance is not None else 1e-4
-    tol_2d = args.tolerance if args.tolerance is not None else 1e-3
-    for r in run_all(seed=args.seed, grid_1d=grid_1d, grid_2d=grid_2d, tol_1d=tol_1d, tol_2d=tol_2d):
-        rows.append((r.name, r.passed, r.detail))
-    passed = all(p for _, p, _ in rows)
-    payload = {
+def run_check(specs: list[tuple[str, SpecFile]], args) -> dict:
+    oracle = {m: _oracle_settings(m, args.grid, args.tolerance) for m in ORACLE_DEFAULTS}
+    rows = [
+        (f"{path}: {task.command} {' '.join(task.names)}", bool(run_task(spec, task, args)["passed"]), "")
+        for path, spec in specs
+        for task in spec.tasks
+        if task.command != "check"
+    ]
+    rows += [(r.name, r.passed, r.detail) for r in run_all(args.seed, oracle)]
+    return {
         "command": "check",
         "seed": args.seed,
-        "passed": passed,
+        "passed": all(p for _, p, _ in rows),
         "results": [{"name": n, "passed": p, "detail": d} for n, p, d in rows],
     }
-    if not args.json:
-        width = max(len(n) for n, _, _ in rows)
-        for n, p, d in rows:
-            print(f"{n:<{width}}  {'PASS' if p else 'FAIL'}  {d}", file=out)
-        print(f"summary: {sum(1 for _, p, _ in rows if p)}/{len(rows)} properties passed", file=out)
-    return payload
 
 
-class _SilentArgs:
-    """Clone of the parsed flags with text output switched off."""
+# -- rendering -------------------------------------------------------------------
 
-    def __init__(self, args):
-        self.__dict__.update(vars(args))
-        self.json = True
+
+def _lines(p: dict, expr_fn, form_fn) -> list[str]:
+    """The text lines of one payload; ``expr_fn`` and ``form_fn`` render its
+    expressions and forms (plain text or LaTeX)."""
+    command = p["command"]
+    if command == "el":
+        lines = []
+        for c in p["components"]:
+            basis = "" if p["classical"] else f"[{','.join(map(str, c['basis']))}]"
+            lines.append(f"E_{c['fiber']}{basis} = {expr_fn(c['expr'])}")
+        return lines + ["projectability: ok (first-order vertical residuals cancel)"]
+    if command == "fed":
+        s = "none" if p["orders"]["s"] is None else p["orders"]["s"]
+        return [f"D{p['name']} = {form_fn(p['value'])}", f"orders: r={p['orders']['r']} s={s} degree={p['degree']}"]
+    if command == "fjet":
+        return [f"{e['coordinate']} = {expr_fn(e['expr'])}" for e in p["entries"]]
+    if command == "natural":
+        lines = [f"naturality k={p['k']}: {'holds' if p['passed'] else 'FAILED'}"]
+        if "witness" in p:
+            w = p["witness"]
+            lines.append(f"witness: beta={w['beta']} basis={w['basis']}: {w['lhs']}  vs  {w['rhs']}")
+        return lines
+    if command == "commute":
+        return [f"section-evaluation commutation: {'holds' if p['passed'] else 'FAILED'}"]
+    if command == "oracle":
+        lines = [
+            f"total derivative on dx{row['basis']}: max relative error {row['error']:.3e}"
+            if row["check"] == "total_derivative"
+            else f"action variation: derivative {row['lhs']:.6e}  pairing {row['rhs']:.6e}  "
+            f"relative error {row['error']:.3e}"
+            for row in p["results"]
+        ]
+        return lines + [f"oracle: {'ok' if p['passed'] else 'FAILED'} (tolerance {p['tolerance']:.1e})"]
+    rows = p["results"]
+    width = max(len(r["name"]) for r in rows)
+    lines = [f"{r['name']:<{width}}  {'PASS' if r['passed'] else 'FAIL'}  {r['detail']}" for r in rows]
+    return lines + [f"summary: {sum(r['passed'] for r in rows)}/{len(rows)} properties passed"]
+
+
+def _json_value(value):
+    return form_json(value) if isinstance(value, Form) else str(value)
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
-    out = sys.stdout
     payloads = []
     try:
+        args = _build_argparser().parse_args(argv)
+        expr_fn, form_fn = (expr_latex, form_latex) if args.latex else (str, form_text)
+
+        def emit(payload: dict) -> None:
+            payloads.append(payload)
+            if not args.json:
+                for line in _lines(payload, expr_fn, form_fn):
+                    print(line)
+
         specs = [(path, load_specfile_path(path)) for path in args.paths]
         if args.command == "check":
-            payloads.append(run_check(specs, args, out))
+            emit(run_check(specs, args))
+        elif not specs:
+            print("error: this command needs at least one declaration file", file=sys.stderr)
+            return 1
         else:
-            if not specs:
-                print("error: this command needs at least one declaration file", file=sys.stderr)
-                return 1
-            for path, spec in specs:
-                tasks = [t for t in spec.tasks if t.command == args.command] or _default_tasks(args.command, spec)
-                for task in tasks:
-                    payloads.append(_RUNNERS[args.command](spec, task, args, out))
+            for _, spec in specs:
+                for task in [t for t in spec.tasks if t.command == args.command] or [spec.default_task(args.command)]:
+                    emit(run_task(spec, task, args))
     except ProjectabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -323,9 +285,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payloads if len(payloads) != 1 else payloads[0], indent=2), file=out)
-    failed = [p for p in payloads if not p.get("passed", True)]
-    if failed:
+        print(json.dumps(payloads if len(payloads) != 1 else payloads[0], indent=2, default=_json_value))
+    if not all(p["passed"] for p in payloads):
         print("error: a mathematical check failed", file=sys.stderr)
         return 2
     return 0

@@ -14,8 +14,8 @@ from fractions import Fraction
 from .bundle import BundleSpec, CoordinateError, FiberwiseCoord, jet_atom
 from .expr import Expr, FuncAtom, Sym, diff, substitute
 from .forms import Form, exterior_derivative, substitute_form
-from .jetcalc import Morphism, section_bindings
-from .multiindex import MultiIndex, indices_up_to
+from .jetcalc import Morphism, partial_step, section_bindings
+from .multiindex import MultiIndex, graded_tower
 
 
 def _check_total_space(components: dict[str, Expr], bundle: BundleSpec, what: str) -> None:
@@ -64,19 +64,12 @@ def fiberwise_prolongation(f: BaseMorphism, r: int) -> dict[tuple[str, MultiInde
     """Fiber-direction partials of the components up to order r."""
     if r < 0:
         raise ValueError("jet order must be non-negative")
-    src = f.source
-    out: dict[tuple[str, MultiIndex], Expr] = {}
-    for beta in indices_up_to(src.fiber, r):
-        for a, comp in f.components.items():
-            out[(a, beta)] = _iterated_partial(comp, beta)
-    return out
+    tower = graded_tower(f.source.fiber, r, f.components, partial_step)
+    return {(a, beta): value for beta, comps in tower.items() for a, value in comps.items()}
 
 
-def _iterated_partial(e: Expr, alpha: MultiIndex) -> Expr:
-    for name, exp in zip(alpha.names, alpha.exponents):
-        for _ in range(exp):
-            e = diff(e, Sym(name))
-    return e
+def _partial(e: Expr, name: str, _order: int) -> Expr:
+    return diff(e, Sym(name))
 
 
 def fiberwise_jet(f: BaseMorphism, k: int, r: int) -> dict[FiberwiseCoord, Expr]:
@@ -84,14 +77,12 @@ def fiberwise_jet(f: BaseMorphism, k: int, r: int) -> dict[FiberwiseCoord, Expr]
     directions (order <= r), gamma over every source direction (order <= k)."""
     if k < 0 or r < 0:
         raise ValueError("jet orders must be non-negative")
-    src = f.source
-    all_names = src.base + src.fiber
-    prolonged = fiberwise_prolongation(f, r)
-    out: dict[FiberwiseCoord, Expr] = {}
-    for (a, beta), val in prolonged.items():
-        for gamma in indices_up_to(all_names, k):
-            out[FiberwiseCoord(a, beta, gamma)] = _iterated_partial(val, gamma)
-    return out
+    names = f.source.base + f.source.fiber
+    return {
+        FiberwiseCoord(a, beta, gamma): value
+        for (a, beta), val in fiberwise_prolongation(f, r).items()
+        for gamma, value in graded_tower(names, k, val, _partial).items()
+    }
 
 
 def associated_jet_map(f: BaseMorphism) -> dict[tuple[str, MultiIndex], Expr]:
@@ -170,13 +161,12 @@ def section_jet_reindex(s: SectionFamily, r: int) -> dict[tuple[str, MultiIndex,
     if r < 0:
         raise ValueError("jet order must be non-negative")
     bundle = s.bundle
-    out: dict[tuple[str, MultiIndex, MultiIndex], Expr] = {}
-    for alpha in indices_up_to(bundle.base, r):
-        for a, comp in s.components.items():
-            base_jet = _iterated_partial(comp, alpha)
-            for beta in indices_up_to(bundle.fiber, r - alpha.order):
-                out[(a, alpha, beta)] = _iterated_partial(base_jet, beta)
-    return out
+    return {
+        (a, alpha, beta): value
+        for alpha, comps in graded_tower(bundle.base, r, s.components, partial_step).items()
+        for a, base_jet in comps.items()
+        for beta, value in graded_tower(bundle.fiber, r - alpha.order, base_jet, _partial).items()
+    }
 
 
 def variation_along_section(s: SectionFamily, eta: dict[str, Expr]) -> dict[str, Expr]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .bundle import BundleSpec, CoordinateError, JetCoord, enumerate_jet_coordinates, jet_atom
 from .expr import Expr, FuncAtom, Sym, diff, partials, substitute, sum_exprs
 from .forms import Form, wedge_basis_left
-from .multiindex import MultiIndex, indices_up_to
+from .multiindex import MultiIndex, graded_tower
 
 
 @dataclass(frozen=True)
@@ -146,20 +146,12 @@ def holonomic_prolongation(phi: Morphism, k: int) -> dict[MultiIndex, Form]:
     if k < 0:
         raise ValueError("prolongation order must be non-negative")
     bundle = phi.bundle
-    family: dict[MultiIndex, Form] = {bundle.zero_index(): phi.value}
-    for beta in indices_up_to(bundle.base, k):
-        if beta.order == 0 or beta in family:
-            continue
-        for name, exp in zip(beta.names, beta.exponents):
-            if exp > 0:
-                prev = MultiIndex(beta.names, tuple(x - (1 if n == name else 0) for n, x in zip(beta.names, beta.exponents)))
-                step_r = phi.r + beta.order - 1
-                step_s = None if phi.s is None else phi.s + beta.order - 1
-                family[beta] = family[prev].map_coeffs(
-                    lambda c: total_derivative(c, name, bundle, step_r, step_s)
-                )
-                break
-    return family
+
+    def step(form: Form, name: str, order: int) -> Form:
+        s = None if phi.s is None else phi.s + order - 1
+        return form.map_coeffs(lambda c: total_derivative(c, name, bundle, phi.r + order - 1, s))
+
+    return graded_tower(bundle.base, k, phi.value, step)
 
 
 def exterior_from_jet(family: dict[MultiIndex, Form]) -> Form:
@@ -225,21 +217,13 @@ def flow_prolongation(eta: VerticalField, s: int) -> dict[tuple[str, MultiIndex]
     if s < 0:
         raise ValueError("prolongation order must be non-negative")
     bundle = eta.bundle
-    out: dict[tuple[str, MultiIndex], Expr] = {}
-    for p, comp in eta.components.items():
-        out[(p, bundle.zero_index())] = comp
-    for sigma in indices_up_to(bundle.base, s):
-        if sigma.order == 0:
-            continue
-        for name, exp in zip(sigma.names, sigma.exponents):
-            if exp > 0:
-                prev = MultiIndex(sigma.names, tuple(x - (1 if n == name else 0) for n, x in zip(sigma.names, sigma.exponents)))
-                for p in bundle.fiber:
-                    out[(p, sigma)] = total_derivative(
-                        out[(p, prev)], name, bundle, sigma.order - 1, None
-                    )
-                break
-    return out
+    tower = graded_tower(
+        bundle.base,
+        s,
+        eta.components,
+        lambda comps, name, order: {p: total_derivative(comps[p], name, bundle, order - 1, None) for p in bundle.fiber},
+    )
+    return {(p, sigma): value for sigma, comps in tower.items() for p, value in comps.items()}
 
 
 def vertical_bindings(eta: VerticalField, s: int) -> dict:
@@ -292,6 +276,12 @@ def check_naturality(phi: Morphism, eta: VerticalField, k: int) -> NaturalityRep
     return NaturalityReport(True)
 
 
+def partial_step(comps: dict[str, Expr], name: str, _order: int) -> dict[str, Expr]:
+    """One ``graded_tower`` step of a component map: every component
+    differentiated along the coordinate ``name``."""
+    return {p: diff(e, Sym(name)) for p, e in comps.items()}
+
+
 def section_bindings(
     bundle: BundleSpec,
     sections: dict[str, Expr],
@@ -309,20 +299,8 @@ def section_bindings(
     bindings: dict = {}
 
     def fill(component_map: dict[str, Expr], vertical: bool, max_order: int) -> None:
-        values: dict[tuple[str, MultiIndex], Expr] = {}
-        for p, comp in component_map.items():
-            values[(p, bundle.zero_index())] = comp
-        for alpha in indices_up_to(bundle.base, max_order):
-            if alpha.order == 0:
-                continue
-            for name, exp in zip(alpha.names, alpha.exponents):
-                if exp > 0:
-                    prev = MultiIndex(alpha.names, tuple(x - (1 if n == name else 0) for n, x in zip(alpha.names, alpha.exponents)))
-                    for p in component_map:
-                        values[(p, alpha)] = diff(values[(p, prev)], Sym(name))
-                    break
-        for (p, alpha), val in values.items():
-            bindings[jet_atom(p, alpha, vertical)] = val
+        for alpha, comps in graded_tower(bundle.base, max_order, component_map, partial_step).items():
+            bindings.update((jet_atom(p, alpha, vertical), val) for p, val in comps.items())
 
     fill(sections, False, r)
     if variations is not None and s is not None:

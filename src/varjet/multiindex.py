@@ -7,7 +7,7 @@ a tuple of repeated directions.
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class RangeMismatchError(ValueError):
@@ -111,3 +111,22 @@ def indices_up_to(names: tuple[str, ...], max_order: int) -> list[MultiIndex]:
     for k in range(max_order + 1):
         out.extend(indices_of_order(names, k))
     return out
+
+
+def graded_tower(names: tuple[str, ...], max_order: int, seed, step: Callable) -> dict[MultiIndex, object]:
+    """Fill the tower {alpha: entry} for |alpha| <= max_order, in
+    ``indices_up_to`` order.
+
+    The zero index holds ``seed``.  Every other alpha is one step from the
+    entry below it: ``step(entry[alpha - e_i], names[i], |alpha|)``, with i
+    the first coordinate whose exponent in alpha is nonzero.
+    """
+    tower = {}
+    for alpha in indices_up_to(names, max_order):
+        if alpha.order == 0:
+            tower[alpha] = seed
+            continue
+        i = next(i for i, e in enumerate(alpha.exponents) if e)
+        below = alpha.exponents[:i] + (alpha.exponents[i] - 1,) + alpha.exponents[i + 1 :]
+        tower[alpha] = step(tower[MultiIndex(names, below)], names[i], alpha.order)
+    return tower

@@ -17,7 +17,16 @@ from .parser import ParseContext, ParseError, parse_expression, parse_form_value
 from .variational import Lagrangian
 
 _DEFINE_KINDS = ("lagrangian", "morphism", "vertical", "section", "variation", "basemorphism")
-_COMMANDS = ("el", "fed", "fjet", "natural", "commute", "oracle", "check")
+# Each command with the definition kinds its task names, in order.
+TASK_KINDS = {
+    "el": ("lagrangian",),
+    "fed": ("morphism",),
+    "fjet": ("basemorphism",),
+    "natural": ("morphism", "vertical"),
+    "commute": ("morphism", "section", "variation"),
+    "oracle": ("lagrangian",),
+    "check": (),
+}
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,18 @@ class SpecFile:
         if len(hits) != 1:
             raise ParseError(f"expected exactly one {kind} definition, found {len(hits)}", 0, 0)
         return hits[0]
+
+    def operands(self, task: Task) -> list:
+        """The objects a task names, one per definition kind of its command."""
+        kinds = TASK_KINDS[task.command]
+        if len(task.names) != len(kinds):
+            raise ParseError(f"task {task.command!r} needs {len(kinds)} name(s), got {len(task.names)}", task.line or 1, 1)
+        return [self.find(kind, name).obj for kind, name in zip(kinds, task.names)]
+
+    def default_task(self, command: str) -> Task:
+        """The task a file without a line for ``command`` runs: the only
+        definition of each kind the command needs."""
+        return Task(command, tuple(self.only(kind).name for kind in TASK_KINDS[command]), {}, 0)
 
 
 def _split_components(text: str, line: int) -> list[str]:
@@ -267,7 +288,7 @@ class _Loader:
     def _task_line(self, line: str, lineno: int) -> Task:
         words = line.split()
         command = words[0].lower()
-        if command not in _COMMANDS:
+        if command not in TASK_KINDS:
             raise ParseError(f"unknown task command {command!r}", lineno, 1)
         names, raw_options = _parse_options(words[1:], lineno)
         options = {}

@@ -3,7 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from varjet import cli
 from varjet.cli import main
+from varjet.expr import Expr, Sym
+from varjet.jetcalc import NaturalityReport
+from varjet.multiindex import MultiIndex
 from varjet.parser import MAX_NESTING
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -125,3 +129,107 @@ def test_check_without_paths(capsys):
     assert "summary:" in out
     lines = [ln for ln in out.splitlines() if "PASS" in ln or "FAIL" in ln]
     assert lines and all("PASS" in ln for ln in lines)
+
+
+# -- usage errors and oracle flags: one `error:` line, exit 1 ---------------------
+
+
+def one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "usage:" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["foo", "spec"],
+        ["oracle", str(SPECS / "harmonic_oscillator.vspec"), "--grid", "abc"],
+        ["el", str(SPECS / "harmonic_oscillator.vspec"), "--bogus"],
+        ["check", "--seed", "x"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    one_line_error(*run(capsys, *argv))
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+ORACLE_1D = str(SPECS / "harmonic_oscillator.vspec")
+ORACLE_2D = str(SPECS / "dirichlet2d.vspec")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", ORACLE_1D, "--grid", "0"],
+        ["oracle", ORACLE_1D, "--grid", str(cli.MIN_GRID - 1)],
+        ["oracle", ORACLE_1D, "--grid", str(cli.MAX_GRID_POINTS + 1)],
+        ["oracle", ORACLE_1D, "--grid", "100000000000"],
+        ["oracle", ORACLE_2D, "--grid", "1001"],  # 1001^2 is just past 10^6
+        ["oracle", ORACLE_1D, "--grid", "50", "--tolerance", "nan"],
+        ["oracle", ORACLE_1D, "--grid", "50", "--tolerance", "inf"],
+        ["oracle", ORACLE_1D, "--grid", "50", "--tolerance", "0"],
+        ["oracle", ORACLE_1D, "--grid", "50", "--tolerance", "-0.001"],
+        ["check", "--grid", "1001"],
+        ["check", "--tolerance", "nan"],
+    ],
+)
+def test_oracle_flags_are_validated(capsys, monkeypatch, argv):
+    # rejected before any grid is sampled
+    monkeypatch.setattr(cli, "sample_section", None)
+    monkeypatch.setattr(cli, "run_all", None)
+    one_line_error(*run(capsys, *argv))
+
+
+def test_oracle_grid_option_is_validated(tmp_path, capsys):
+    spec = tmp_path / "small.vspec"
+    spec.write_text(
+        f"[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = u_x^2 dx[1]\n[task]\noracle L grid={cli.MIN_GRID - 1}\n"
+    )
+    one_line_error(*run(capsys, "oracle", str(spec)))
+
+
+def test_oracle_bounds_are_inclusive(capsys):
+    assert cli._oracle_settings(1, cli.MIN_GRID, 1e-300) == (cli.MIN_GRID, 1e-300)
+    assert cli._oracle_settings(1, cli.MAX_GRID_POINTS, None) == (cli.MAX_GRID_POINTS, 1e-4)
+    assert cli._oracle_settings(2, 1000, None) == (1000, 1e-3)
+    # the smallest grid runs; at 5 points the errors are large, so the check fails (exit 2), not the input
+    with pytest.warns(UserWarning, match="boundary"):
+        code, out, err = run(capsys, "oracle", ORACLE_1D, "--grid", str(cli.MIN_GRID))
+    assert code == 2 and "oracle: FAILED" in out
+
+
+# -- a failing `natural` task carries its witness in every format -------------------
+
+
+def failing_naturality(monkeypatch):
+    names = ("x", "y")
+    u = Expr.atom(Sym("u"))
+    report = NaturalityReport(False, (MultiIndex(names, (1, 0)), (1,), u, 2 * u))
+    monkeypatch.setattr(cli, "check_naturality", lambda phi, eta, k: report)
+
+
+def test_natural_witness_in_text(capsys, monkeypatch):
+    failing_naturality(monkeypatch)
+    path = str(SPECS / "differential_demo.vspec")
+    for flags in ([], ["--latex"]):
+        code, out, err = run(capsys, "natural", path, *flags)
+        assert code == 2 and err == "error: a mathematical check failed\n"
+        witness = "witness: beta=(1,0) basis=(1,): u  vs  2*u\n"
+        assert out == f"naturality k=1: FAILED\n{witness}naturality k=2: FAILED\n{witness}"
+
+
+def test_natural_witness_in_json(capsys, monkeypatch):
+    failing_naturality(monkeypatch)
+    code, out, _ = run(capsys, "natural", str(SPECS / "differential_demo.vspec"), "--json")
+    assert code == 2
+    payloads = json.loads(out)
+    assert [p["passed"] for p in payloads] == [False, False]
+    assert payloads[0]["witness"] == {"beta": "(1,0)", "basis": [1], "lhs": "u", "rhs": "2*u"}

@@ -233,7 +233,14 @@ def test_multiindex_order_is_cached_sort_key():
 # which keeps them) must give the same results and texts as one built from
 # ``int`` leaves.
 
-FUNCS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "inv": lambda e: 1 / (e + Expr.atom(Sym("x")))}
+def _inv(e: Expr) -> Expr:
+    # The recipe may cancel the denominator (e = -x); like a negative power
+    # of a zero base in `build`, that leaf stays the zero it is.
+    d = e + Expr.atom(Sym("x"))
+    return d if d.is_zero else 1 / d
+
+
+FUNCS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "inv": _inv}
 
 
 def recipes():

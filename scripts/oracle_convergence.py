@@ -1,32 +1,69 @@
 #!/usr/bin/env python3
 """Grid-refinement study for the finite-difference oracle.
 
-Shows second-order convergence of the total-derivative check and the
-action-variation check on the oscillator density.
+    python3 scripts/oracle_convergence.py
+
+Shows second-order convergence of the total-derivative check (on ``u*u``)
+and of the action-variation check on base dimensions 1, 2 and 3: the
+oscillator density on a line, the Dirichlet density on the square and the
+cube.  Each row halves the grid spacing of the row above, so a ratio near 4
+is the measured second order.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from varjet import BundleSpec, check_action_variation, check_total_derivative, sample_section, sym
+from varjet import (
+    BundleSpec,
+    Form,
+    Lagrangian,
+    MultiIndex,
+    bump,
+    check_action_variation,
+    check_total_derivative,
+    sample_section,
+    sym,
+)
 from varjet.checks import _oscillator_setup
+from varjet.expr import sum_exprs
+
+BASE = ("x", "y", "z")
+# Points per axis of the coarsest grid and number of rows, per base dimension.
+STUDIES = ((1, 249, 5), (2, 25, 4), (3, 25, 3))
+
+
+def _dirichlet_setup(m: int, n: int):
+    """Dirichlet density, a product of sines and a product of bumps on [0, 1]^m."""
+    bundle = BundleSpec(BASE[:m], ("u",))
+    grads = [bundle.jet("u", MultiIndex(bundle.base, tuple(int(a == b) for b in range(m)))) for a in range(m)]
+    energy = Fraction(1, 2) * sum_exprs(g**2 for g in grads)
+    lag = Lagrangian(bundle, Form(m, bundle.base, {tuple(range(1, m + 1)): energy}))
+    bounds, shape = ((0.0, 1.0),) * m, (n,) * m
+    b = bump(0.0, 1.0)
+    section = sample_section(bundle, bounds, shape, {"u": lambda *xs: np.prod([np.sin(np.pi * x) for x in xs], axis=0)})
+    eta = sample_section(bundle, bounds, shape, {"u": lambda *xs: np.prod([b(x) for x in xs], axis=0)})
+    return lag, section, eta
+
+
+def _errors(m: int, n: int) -> tuple[float, float]:
+    lag, s, eta = _oscillator_setup(n) if m == 1 else _dirichlet_setup(m, n)
+    field = sample_section(s.bundle, s.bounds, s.shape, {"u": lambda *xs: np.sin(sum(xs))})
+    _, _, a_err = check_action_variation(lag, s, eta)
+    return check_total_derivative(sym("u") * sym("u"), field), a_err
 
 
 def main() -> None:
-    bundle = BundleSpec(("x",), ("u",))
-    u = sym("u")
-    print(f"{'points':>8} {'derivative err':>16} {'ratio':>7} {'action err':>14} {'ratio':>7}")
-    prev_d = prev_a = None
-    n = 125
-    for _ in range(5):
-        n = 2 * n - 1
-        section = sample_section(bundle, ((0.0, 1.0),), (n,), {"u": np.sin})
-        d_err = check_total_derivative(u * u, section)
-        lag, s, eta = _oscillator_setup(n)
-        _, _, a_err = check_action_variation(lag, s, eta)
-        d_ratio = f"{prev_d / d_err:7.2f}" if prev_d else "      -"
-        a_ratio = f"{prev_a / a_err:7.2f}" if prev_a else "      -"
-        print(f"{n:>8} {d_err:>16.3e} {d_ratio} {a_err:>14.3e} {a_ratio}")
-        prev_d, prev_a = d_err, a_err
+    print(f"{'m':>2} {'points/axis':>11} {'derivative err':>16} {'ratio':>7} {'action err':>14} {'ratio':>7}")
+    for m, n, rows in STUDIES:
+        prev_d = prev_a = None
+        for _ in range(rows):
+            d_err, a_err = _errors(m, n)
+            d_ratio = f"{prev_d / d_err:7.2f}" if prev_d else "      -"
+            a_ratio = f"{prev_a / a_err:7.2f}" if prev_a else "      -"
+            print(f"{m:>2} {n:>11} {d_err:>16.3e} {d_ratio} {a_err:>14.3e} {a_ratio}")
+            prev_d, prev_a = d_err, a_err
+            n = 2 * n - 1
 
 
 if __name__ == "__main__":

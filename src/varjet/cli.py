@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_argparser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="varjet", description="variational calculus on jet bundles")
     ap.add_argument("command", choices=TASK_KINDS)
-    ap.add_argument("paths", nargs="*", help="declaration files")
+    ap.add_argument("paths", nargs="*", default=[], help="declaration files")
     ap.add_argument("--latex", action="store_true", help="render results as LaTeX")
     ap.add_argument("--json", action="store_true", help="render results as JSON")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
@@ -257,6 +258,13 @@ def _json_value(value):
 
 
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        # A library warning is one diagnostic line, like an error, printed when raised.
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        return _main(argv)
+
+
+def _main(argv) -> int:
     payloads = []
     try:
         args = _build_argparser().parse_args(argv)

@@ -1,12 +1,15 @@
 """Finite-difference validation of symbolic results on sampled sections.
 
-Sections are sampled on uniform grids (base dimension 1 or 2); jet
-coordinates evaluate through second-order central stencils.  The action
+Sections are sampled on uniform grids over a box of any base dimension; jet
+coordinates up to order 2 evaluate through second-order central stencils,
+the tensor product of three-point stencils along the axes.  The action
 variation check discretizes the action with the trapezoid rule and compares
 its numeric directional derivative against the Euler-Lagrange pairing, which
 is an identity when the variation vanishes near the boundary.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -14,7 +17,6 @@ import numpy as np
 
 from .bundle import BundleSpec, JetCoord
 from .expr import Expr, Sym, evaluate
-from .multiindex import MultiIndex
 from .variational import Lagrangian, euler_lagrange
 
 EPSILON_ACTION = 1e-4  # step for the numeric derivative of the action
@@ -36,8 +38,6 @@ class GridSection:
     values: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.bundle.m not in (1, 2):
-            raise ValueError("grid sections support base dimension 1 or 2")
         if len(self.bounds) != self.bundle.m:
             raise ValueError("one bounds pair per base axis required")
         if set(self.values) != set(self.bundle.fiber):
@@ -63,10 +63,7 @@ class GridSection:
 
     def coordinate_arrays(self) -> dict[Sym, np.ndarray]:
         axes = [self.axis_points(a) for a in range(self.bundle.m)]
-        if self.bundle.m == 1:
-            return {Sym(self.bundle.base[0]): axes[0]}
-        xs, ys = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return {Sym(self.bundle.base[0]): xs, Sym(self.bundle.base[1]): ys}
+        return dict(zip(map(Sym, self.bundle.base), np.meshgrid(*axes, indexing="ij")))
 
     def perturbed(self, eta: "GridSection", epsilon: float) -> "GridSection":
         vals = {p: self.values[p] + epsilon * eta.values[p] for p in self.values}
@@ -81,10 +78,7 @@ def sample_section(
 ) -> GridSection:
     """Sample callables of the base coordinates onto a grid."""
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)]
-    if len(axes) == 1:
-        coords = (axes[0],)
-    else:
-        coords = np.meshgrid(*axes, indexing="ij")
+    coords = np.meshgrid(*axes, indexing="ij")
     values = {p: np.asarray(fn(*coords), dtype=float) for p, fn in funcs.items()}
     return GridSection(bundle, bounds, values)
 
@@ -106,53 +100,57 @@ def bump(lo: float, hi: float, inset: float = 0.15) -> Callable[[np.ndarray], np
     return fn
 
 
-def _derivative_array(s: GridSection, fiber: str, alpha: MultiIndex) -> np.ndarray:
-    """Central finite differences of a sampled fiber component.
+# Central three-point stencils along one axis, by derivative order: the
+# (offset, integer weight) pairs and the factor of h**order in the divisor.
+_CENTRAL = (
+    (((0, 1),), 1),
+    (((1, 1), (-1, -1)), 2),
+    (((1, 1), (0, -2), (-1, 1)), 1),
+)
 
-    Supports jet order <= 2; the result is NaN-padded at the boundary where
-    the stencil does not fit.
+
+def _derivative_array(arr: np.ndarray, exponents: tuple[int, ...], spacing: tuple[float, ...]) -> np.ndarray:
+    """Central finite difference of grid samples for the partial derivative
+    with the given exponents per axis, in any base dimension.
+
+    The stencil is the tensor product of the axes' three-point stencils,
+    summed in one pass and divided once.  The divisor is a power of two
+    times powers of the spacings, so every float equals that of the closed
+    forms such as ``(a[2:] - a[:-2]) / (2*h)``.  Supports total order <= 2;
+    the result is NaN-padded at the boundary where the stencil does not fit.
     """
-    arr = s.values[fiber]
-    order = alpha.order
-    if order > 2:
+    if sum(exponents) > 2:
         raise StencilError("stencils are provided up to second order only")
-    h = s.spacing
-    out = np.full_like(arr, np.nan)
-    if order == 0:
-        return arr.copy()
-    if s.bundle.m == 1:
-        if order == 1:
-            out[1:-1] = (arr[2:] - arr[:-2]) / (2 * h[0])
+    out = np.full_like(arr, np.nan)  # allocated before the sum, which measured faster than after it
+    total = None
+    for taps in itertools.product(*(_CENTRAL[k][0] for k in exponents)):
+        index = tuple(slice(1 + o, n - 1 + o) if k else slice(None) for (o, _), k, n in zip(taps, exponents, arr.shape))
+        weight = math.prod(w for _, w in taps)
+        term = arr[index] if abs(weight) == 1 else abs(weight) * arr[index]
+        if total is None:  # the first taps, at offsets +1 and 0, have weight 1
+            total = term
         else:
-            out[1:-1] = (arr[2:] - 2 * arr[1:-1] + arr[:-2]) / h[0] ** 2
-        return out
-    ex, ey = alpha.exponents
-    if (ex, ey) == (1, 0):
-        out[1:-1, :] = (arr[2:, :] - arr[:-2, :]) / (2 * h[0])
-    elif (ex, ey) == (0, 1):
-        out[:, 1:-1] = (arr[:, 2:] - arr[:, :-2]) / (2 * h[1])
-    elif (ex, ey) == (2, 0):
-        out[1:-1, :] = (arr[2:, :] - 2 * arr[1:-1, :] + arr[:-2, :]) / h[0] ** 2
-    elif (ex, ey) == (0, 2):
-        out[:, 1:-1] = (arr[:, 2:] - 2 * arr[:, 1:-1] + arr[:, :-2]) / h[1] ** 2
-    elif (ex, ey) == (1, 1):
-        out[1:-1, 1:-1] = (
-            arr[2:, 2:] - arr[2:, :-2] - arr[:-2, 2:] + arr[:-2, :-2]
-        ) / (4 * h[0] * h[1])
+            total = total + term if weight > 0 else total - term
+    divisor = math.prod(_CENTRAL[k][1] * h**k for k, h in zip(exponents, spacing) if k)
+    out[tuple(slice(1, -1) if k else slice(None) for k in exponents)] = total / divisor
     return out
+
+
+def _jet_order(e: Expr) -> int:
+    """The highest jet order among the horizontal jet coordinates of ``e``."""
+    return max((a.alpha.order for a in e.atoms() if isinstance(a, JetCoord) and not a.vertical), default=0)
 
 
 def jet_environment(e: Expr, s: GridSection) -> dict:
     """Numeric arrays for every coordinate atom appearing in ``e``."""
     env: dict = dict(s.coordinate_arrays())
-    zero = s.bundle.zero_index()
     for p in s.bundle.fiber:
-        env[Sym(p)] = _derivative_array(s, p, zero)
+        env[Sym(p)] = s.values[p].copy()
     for a in e.atoms():
         if isinstance(a, JetCoord):
             if a.vertical:
                 raise ValueError("grid evaluation does not take vertical coordinates")
-            env[a] = _derivative_array(s, a.fiber, a.alpha)
+            env[a] = _derivative_array(s.values[a.fiber], a.alpha.exponents, s.spacing)
     return env
 
 
@@ -164,10 +162,7 @@ def eval_jet_grid(e: Expr, s: GridSection) -> np.ndarray:
 
 def eval_jet(e: Expr, s: GridSection, point: tuple[int, ...]) -> float:
     """Evaluate a jet expression at one grid index via central stencils."""
-    order = 0
-    for a in e.atoms():
-        if isinstance(a, JetCoord) and not a.vertical:
-            order = max(order, a.alpha.order)
+    order = _jet_order(e)
     margin = 1 if order else 0
     for idx, n in zip(point, s.shape):
         if not margin <= idx < n - margin:
@@ -194,20 +189,9 @@ def check_total_derivative(e: Expr, s: GridSection, direction: str | None = None
     bundle = s.bundle
     direction = direction or bundle.base[0]
     axis = bundle.base.index(direction)
-    order = 0
-    for a in e.atoms():
-        if isinstance(a, JetCoord) and not a.vertical:
-            order = max(order, a.alpha.order)
-    lhs = eval_jet_grid(total_derivative(e, direction, bundle, max(order, 0), None), s)
-    field = eval_jet_grid(e, s)
-    h = s.spacing[axis]
-    rhs = np.full_like(field, np.nan)
-    if bundle.m == 1:
-        rhs[1:-1] = (field[2:] - field[:-2]) / (2 * h)
-    elif axis == 0:
-        rhs[1:-1, :] = (field[2:, :] - field[:-2, :]) / (2 * h)
-    else:
-        rhs[:, 1:-1] = (field[:, 2:] - field[:, :-2]) / (2 * h)
+    lhs = eval_jet_grid(total_derivative(e, direction, bundle, _jet_order(e), None), s)
+    unit = tuple(int(a == axis) for a in range(bundle.m))
+    rhs = _derivative_array(eval_jet_grid(e, s), unit, s.spacing)
     sl = _interior(bundle.m, 2)
     gap = np.max(np.abs(lhs[sl] - rhs[sl]))
     scale = max(1.0, float(np.max(np.abs(lhs[sl]))))

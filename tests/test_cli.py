@@ -151,7 +151,10 @@ def one_line_error(code, out, err):
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
-    one_line_error(*run(capsys, *argv))
+    code, out, err = run(capsys, *argv)
+    one_line_error(code, out, err)
+    if not argv:
+        assert "command" in err and "paths" not in err  # the paths are optional
 
 
 def test_help_exits_0(capsys):
@@ -200,10 +203,20 @@ def test_oracle_bounds_are_inclusive(capsys):
     assert cli._oracle_settings(1, cli.MIN_GRID, 1e-300) == (cli.MIN_GRID, 1e-300)
     assert cli._oracle_settings(1, cli.MAX_GRID_POINTS, None) == (cli.MAX_GRID_POINTS, 1e-4)
     assert cli._oracle_settings(2, 1000, None) == (1000, 1e-3)
-    # the smallest grid runs; at 5 points the errors are large, so the check fails (exit 2), not the input
-    with pytest.warns(UserWarning, match="boundary"):
-        code, out, err = run(capsys, "oracle", ORACLE_1D, "--grid", str(cli.MIN_GRID))
+    # the smallest grid runs; at 5 points the errors are large, so the check fails (exit 2), not the input,
+    # and the library's boundary warning reaches stderr as one line
+    code, out, err = run(capsys, "oracle", ORACLE_1D, "--grid", str(cli.MIN_GRID))
     assert code == 2 and "oracle: FAILED" in out
+    assert err == (
+        "warning: variation does not vanish near the boundary; expect boundary terms\n"
+        "error: a mathematical check failed\n"
+    )
+
+
+def test_oracle_rejects_base_dimension_3(tmp_path, capsys):
+    spec = tmp_path / "cube.vspec"
+    spec.write_text("[bundle]\nbase = x y z\nfiber = u\n[define]\nlagrangian L = u_x^2 dx[1,2,3]\n[task]\noracle L\n")
+    one_line_error(*run(capsys, "oracle", str(spec)))
 
 
 # -- a failing `natural` task carries its witness in every format -------------------

@@ -1,7 +1,17 @@
+"""The finite-difference oracle.
+
+The references below are the hand-coded stencils that the tensor-product
+routine replaced: the branches of ``_derivative_array`` and the central
+difference of ``check_total_derivative``.  The routine must reproduce their
+floats bit for bit.
+"""
+
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varjet.bundle import BundleSpec
 from varjet.expr import Expr, sym
@@ -10,6 +20,7 @@ from varjet.multiindex import MultiIndex
 from varjet.oracle import (
     GridSection,
     StencilError,
+    _derivative_array,
     bump,
     check_action_variation,
     check_total_derivative,
@@ -20,6 +31,7 @@ from varjet.variational import Lagrangian
 
 B1 = BundleSpec(("x",), ("u",))
 B2 = BundleSpec(("x", "y"), ("u",))
+B3 = BundleSpec(("x", "y", "z"), ("u",))
 u = sym("u")
 ux = B1.jet("u", MultiIndex(("x",), (1,)))
 uxx = B1.jet("u", MultiIndex(("x",), (2,)))
@@ -63,7 +75,7 @@ def test_grid_section_validation():
     with pytest.raises(ValueError):
         GridSection(B1, ((0.0, 1.0),), {"v": np.zeros(10)})
     with pytest.raises(ValueError):
-        sample_section(BundleSpec(("x", "y", "t"), ("u",)), ((0, 1),) * 3, (8, 8, 8), {"u": lambda *a: a[0]})
+        GridSection(B3, ((0.0, 1.0),) * 2, {"u": np.zeros((8, 8, 8))})
 
 
 def test_check_total_derivative_examples():
@@ -127,3 +139,117 @@ def test_action_variation_requires_top_degree():
     s = sample_section(B2, ((0.0, 1.0),) * 2, (32, 32), {"u": lambda x, y: x * y})
     with pytest.raises(ValueError):
         check_action_variation(lag, s, s)
+
+
+# -- the earlier hand-coded stencils ----------------------------------------------
+
+
+def ref_derivative_array(arr: np.ndarray, exponents: tuple[int, ...], h: tuple[float, ...]) -> np.ndarray:
+    order = sum(exponents)
+    out = np.full_like(arr, np.nan)
+    if order == 0:
+        return arr.copy()
+    if len(exponents) == 1:
+        if order == 1:
+            out[1:-1] = (arr[2:] - arr[:-2]) / (2 * h[0])
+        else:
+            out[1:-1] = (arr[2:] - 2 * arr[1:-1] + arr[:-2]) / h[0] ** 2
+        return out
+    ex, ey = exponents
+    if (ex, ey) == (1, 0):
+        out[1:-1, :] = (arr[2:, :] - arr[:-2, :]) / (2 * h[0])
+    elif (ex, ey) == (0, 1):
+        out[:, 1:-1] = (arr[:, 2:] - arr[:, :-2]) / (2 * h[1])
+    elif (ex, ey) == (2, 0):
+        out[1:-1, :] = (arr[2:, :] - 2 * arr[1:-1, :] + arr[:-2, :]) / h[0] ** 2
+    elif (ex, ey) == (0, 2):
+        out[:, 1:-1] = (arr[:, 2:] - 2 * arr[:, 1:-1] + arr[:, :-2]) / h[1] ** 2
+    elif (ex, ey) == (1, 1):
+        out[1:-1, 1:-1] = (arr[2:, 2:] - arr[2:, :-2] - arr[:-2, 2:] + arr[:-2, :-2]) / (4 * h[0] * h[1])
+    return out
+
+
+def ref_total_derivative_rhs(field: np.ndarray, axis: int, h: float) -> np.ndarray:
+    rhs = np.full_like(field, np.nan)
+    if field.ndim == 1:
+        rhs[1:-1] = (field[2:] - field[:-2]) / (2 * h)
+    elif axis == 0:
+        rhs[1:-1, :] = (field[2:, :] - field[:-2, :]) / (2 * h)
+    else:
+        rhs[:, 1:-1] = (field[:, 2:] - field[:, :-2]) / (2 * h)
+    return rhs
+
+
+@st.composite
+def sampled_grids(draw):
+    m = draw(st.sampled_from((1, 2)))
+    shape = tuple(draw(st.lists(st.integers(5, 40), min_size=m, max_size=m)))
+    lows = draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m))
+    widths = draw(st.lists(st.floats(1e-3, 100.0), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(-5, 4, size=shape)
+    values = rng.standard_normal(shape) * scales
+    bounds = tuple((lo, lo + w) for lo, w in zip(lows, widths))
+    return GridSection(B1 if m == 1 else B2, bounds, {"u": values})
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_grids())
+def test_stencils_match_hand_coded_bit_for_bit(s):
+    arr, h, m = s.values["u"], s.spacing, s.bundle.m
+    for exponents in itertools.product(range(3), repeat=m):
+        if sum(exponents) <= 2:
+            expected = ref_derivative_array(arr, exponents, h)
+            assert _derivative_array(arr, exponents, h).tobytes() == expected.tobytes(), exponents
+    for axis in range(m):
+        unit = tuple(int(a == axis) for a in range(m))
+        expected = ref_total_derivative_rhs(arr, axis, h[axis])
+        assert _derivative_array(arr, unit, h).tobytes() == expected.tobytes(), axis
+
+
+# -- base dimension 3 -------------------------------------------------------------
+
+
+def b3_jet(*exponents):
+    return B3.jet("u", MultiIndex(B3.base, exponents))
+
+
+def test_eval_jet_3d_partials():
+    s = sample_section(B3, ((0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)), (9, 11, 13), {"u": lambda x, y, z: x**2 * y + y * z})
+    point = (3, 7, 4)
+    x, y, z = (s.axis_points(a)[i] for a, i in enumerate(point))
+    assert eval_jet(b3_jet(1, 1, 0), s, point) == pytest.approx(2 * x, abs=1e-12)
+    assert eval_jet(b3_jet(0, 1, 1), s, point) == pytest.approx(1.0, abs=1e-12)
+    assert eval_jet(b3_jet(2, 0, 0), s, point) == pytest.approx(2 * y, abs=1e-12)
+    assert eval_jet(b3_jet(0, 0, 2), s, point) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(StencilError):
+        eval_jet(b3_jet(1, 0, 0), s, (0, 5, 5))
+
+
+def test_check_total_derivative_3d_converges():
+    def section(n):
+        return sample_section(B3, ((0.0, 1.0),) * 3, (n,) * 3, {"u": lambda x, y, z: np.sin(x + 2 * y) * np.cos(z)})
+
+    coarse, fine = section(21), section(41)
+    for direction in B3.base:
+        ratio = check_total_derivative(u * u, coarse, direction) / check_total_derivative(u * u, fine, direction)
+        assert 3.0 <= ratio <= 5.0, direction
+
+
+def test_action_variation_3d_converges():
+    ux, uy, uz = b3_jet(1, 0, 0), b3_jet(0, 1, 0), b3_jet(0, 0, 1)
+    lag = Lagrangian(B3, Form(3, B3.base, {(1, 2, 3): Fraction(1, 2) * (ux**2 + uy**2 + uz**2)}))
+    b = bump(0.0, 1.0)
+
+    def wave(x, y, z):
+        return np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
+
+    def errors(n):
+        bounds, shape = ((0.0, 1.0),) * 3, (n,) * 3
+        s = sample_section(B3, bounds, shape, {"u": wave})
+        eta = sample_section(B3, bounds, shape, {"u": lambda x, y, z: b(x) * b(y) * b(z)})
+        return check_action_variation(lag, s, eta)[2]
+
+    coarse, fine = errors(25), errors(49)
+    assert fine <= 1e-2
+    assert 3.0 <= coarse / fine <= 5.0

@@ -12,9 +12,11 @@ differ.  The benchmark's run digest covers only a short certified prefix
 (3 tasks on ``dense_pipeline``); this covers the whole pool.
 
 For ``oracle_grid`` the compared text also carries every error of the
-convergence check at full float precision: the task text rounds the
-observed orders, and a change in the term order of an expression changes
-the floats it evaluates to without failing any verdict.
+convergence check, and the value of ``eval_jet`` at every probe point of
+the task's fine grid, at full float precision: the task text rounds the
+observed orders and checks the probes only against a tolerance, and a
+change in the term order of an expression changes the floats it evaluates
+to without failing any verdict.
 
 The interpreters inherit the environment, so run the script under two
 ``PYTHONHASHSEED`` values to check that no output depends on hash order.
@@ -33,6 +35,19 @@ SEEDS = (0, 1)
 # property_suite has no input pool: each task is a fresh random case.
 PROPERTY_SUITE_TASKS = 1400
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def probe_values(w, j: int) -> list[float]:
+    """``eval_jet`` of pool density ``j`` at each of its probe points, on the
+    fine grid of its oracle task, rebuilt from the workload's pool."""
+    import varjet as vj
+
+    lag, waves, probes = w.pool[j]
+    m = lag.bundle.m
+    density = lag.value.coefficient(tuple(range(1, m + 1)))
+    funcs = {p: w._section(m, wave)[0] for p, wave in zip(lag.bundle.fiber, waves)}
+    fine = vj.sample_section(lag.bundle, ((0.0, 1.0),) * m, (w.GRID[m],) * m, funcs)
+    return [vj.eval_jet(density, fine, point) for point in probes]
 
 
 def dump(name: str, seed: int, path: str) -> None:
@@ -59,6 +74,7 @@ def dump(name: str, seed: int, path: str) -> None:
         text = outcome.text
         if name == "oracle_grid":
             text += "\n" + repr(w.convergence.get(i % len(w.pool)))
+            text += "\n" + repr(probe_values(w, i % len(w.pool)))
         texts.append(text)
         if not outcome.ok:
             failed.append(i)

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 Monomial = tuple  # tuple[tuple[atom, int], ...], sorted by atom sort key
 
 _BUILTIN_FUNCS = ("sin", "cos", "exp", "ln", "inv")
@@ -540,9 +542,17 @@ def evaluate(e: Expr, env: Mapping, funcs: Mapping[str, Callable] | None = None)
 
     Values may be floats or numpy arrays.  Formal function symbols cannot be
     evaluated and raise :class:`EvaluationError`.
-    """
-    import numpy as np
 
+    The floats are those of the plain sum of products: each term, in
+    insertion order, is ``float(coeff)`` times its factors ``value ** k``
+    from left to right, added to a total that starts at ``0.0``.  Within one
+    call each function atom is computed once, however many terms or nested
+    arguments hold it; an array factor with ``k == 1`` is the array itself,
+    which ``array ** 1`` equals bit for bit; and products and sums
+    accumulate in place, in arrays this call allocated, when shape and
+    dtype already match.  No ``env`` value is written to, and nothing
+    outlives the call.
+    """
     table: dict[str, Callable] = {
         "sin": np.sin,
         "cos": np.cos,
@@ -552,23 +562,52 @@ def evaluate(e: Expr, env: Mapping, funcs: Mapping[str, Callable] | None = None)
     }
     if funcs:
         table.update(funcs)
+    return _sum_of_products(e, env, table, {})
 
-    def atom_value(a):
-        if a in env:
-            return env[a]
-        if isinstance(a, FuncAtom):
-            if any(a.derivs) or a.func not in table:
-                raise EvaluationError(f"cannot evaluate formal symbol {a.label()}")
-            return table[a.func](*(evaluate(arg, env, funcs) for arg in a.args))
-        raise EvaluationError(f"no value for atom {a.label()}")
 
+# The helpers of ``evaluate`` are module functions, not closures: two nested
+# functions that call each other form a reference cycle, which keeps every
+# call's environment and memo arrays alive until the cycle collector runs
+# (on the oracle grids, about twice the peak memory).
+
+
+def _sum_of_products(e: Expr, env: Mapping, table: dict, memo: dict):
     total = 0.0
     for mono, coeff in e._terms.items():
         val = float(coeff)
         for a, k in mono:
-            val = val * atom_value(a) ** k
-        total = total + val
+            v = _atom_value(a, env, table, memo)
+            if k != 1 or type(v) is not np.ndarray:  # a numpy scalar NaN loses its sign in ** 1
+                v = v**k
+            if _fits(val, v):
+                val *= v
+            else:
+                val = val * v
+        if _fits(total, val):
+            total += val
+        else:
+            total = total + val
     return total
+
+
+def _atom_value(a, env: Mapping, table: dict, memo: dict):
+    if a in env:
+        return env[a]
+    if a in memo:
+        return memo[a]
+    if isinstance(a, FuncAtom):
+        if any(a.derivs) or a.func not in table:
+            raise EvaluationError(f"cannot evaluate formal symbol {a.label()}")
+        memo[a] = value = table[a.func](*(_sum_of_products(arg, env, table, memo) for arg in a.args))
+        return value
+    raise EvaluationError(f"no value for atom {a.label()}")
+
+
+def _fits(acc, v) -> bool:
+    """Whether ``acc`` may take ``v`` in place with the floats of the
+    out-of-place operator: two plain arrays of one shape and dtype.  Callers
+    pass as ``acc`` only a product or sum that their call allocated."""
+    return type(acc) is np.ndarray and type(v) is np.ndarray and acc.shape == v.shape and acc.dtype == v.dtype
 
 
 # -- convenience constructors ------------------------------------------------

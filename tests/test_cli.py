@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from varjet import cli
+from varjet import cli, oracle
 from varjet.cli import main
 from varjet.expr import Expr, Sym
 from varjet.jetcalc import NaturalityReport
@@ -211,6 +212,25 @@ def test_oracle_bounds_are_inclusive(capsys):
         "warning: variation does not vanish near the boundary; expect boundary terms\n"
         "error: a mathematical check failed\n"
     )
+
+
+def test_oracle_passes_a_null_lagrangian(tmp_path, capsys, monkeypatch):
+    # u_x dx[1] has zero Euler-Lagrange form: both sides of the action
+    # identity sit at round-off, which must not read as a relative error of 1.
+    spec = tmp_path / "null.vspec"
+    spec.write_text("[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = u_x dx[1]\n[task]\noracle L\n")
+    code, out, err = run(capsys, "oracle", str(spec))
+    assert code == 0 and "relative error 0.000e+00" in out and err == ""
+    # The floor does not hide a wrong Euler-Lagrange form.
+    real = oracle.euler_lagrange
+
+    def doubled(lag):
+        result = real(lag)
+        return replace(result, components={k: 2 * c for k, c in result.components.items()})
+
+    monkeypatch.setattr(oracle, "euler_lagrange", doubled)
+    code, out, _ = run(capsys, "oracle", ORACLE_1D)
+    assert code == 2 and "oracle: FAILED" in out
 
 
 def test_oracle_rejects_base_dimension_3(tmp_path, capsys):

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varjet import oracle
 from varjet.bundle import BundleSpec
-from varjet.expr import Expr, sym
+from varjet.expr import Expr, cos, exp, sin, sym
 from varjet.forms import Form
 from varjet.multiindex import MultiIndex
 from varjet.oracle import (
@@ -25,6 +26,7 @@ from varjet.oracle import (
     check_action_variation,
     check_total_derivative,
     eval_jet,
+    eval_jet_grid,
     sample_section,
 )
 from varjet.variational import Lagrangian
@@ -132,6 +134,22 @@ def test_action_variation_2d():
     eta = sample_section(B2, bounds, (160, 160), {"u": lambda x, y: bx(x) * by(y)})
     _, _, err = check_action_variation(lag, s, eta)
     assert err <= 1e-3
+
+
+def test_action_variation_null_lagrangians_pass():
+    # u_x dx and (u_x + x u_y + 3 u u_x) dx^dy are total divergences: both
+    # sides of the identity are round-off, which is no error.
+    lag, s, eta = oscillator_setup(800)
+    lhs, rhs, err = check_action_variation(Lagrangian(B1, Form(1, ("x",), {(1,): ux})), s, eta)
+    assert rhs == 0.0 and abs(lhs) < 1e-10 and err == 0.0
+    uxp = B2.jet("u", MultiIndex(B2.base, (1, 0)))
+    uyp = B2.jet("u", MultiIndex(B2.base, (0, 1)))
+    density = uxp + sym("x") * uyp + 3 * u * uxp
+    bounds = ((0.0, 1.0), (0.0, 1.0))
+    s2 = sample_section(B2, bounds, (60, 60), {"u": lambda x, y: np.sin(np.pi * x) * np.cos(y)})
+    b = bump(0.0, 1.0)
+    eta2 = sample_section(B2, bounds, (60, 60), {"u": lambda x, y: b(x) * b(y)})
+    assert check_action_variation(Lagrangian(B2, Form(2, B2.base, {(1, 2): density})), s2, eta2)[2] == 0.0
 
 
 def test_action_variation_requires_top_degree():
@@ -253,3 +271,45 @@ def test_action_variation_3d_converges():
     coarse, fine = errors(25), errors(49)
     assert fine <= 1e-2
     assert 3.0 <= coarse / fine <= 5.0
+
+
+# -- eval_jet on its 3^m box ------------------------------------------------------
+
+
+def jet_atoms(bundle: BundleSpec, order: int) -> list:
+    return [
+        bundle.jet("u", MultiIndex(bundle.base, alpha))
+        for alpha in itertools.product(range(order + 1), repeat=bundle.m)
+        if sum(alpha) == order
+    ]
+
+
+@pytest.mark.parametrize("bundle, shape", [(B1, (41,)), (B2, (13, 11)), (B3, (7, 8, 9))])
+def test_eval_jet_reads_its_box_bit_for_bit(bundle, shape, monkeypatch):
+    first, second = jet_atoms(bundle, 1), jet_atoms(bundle, 2)
+    x = sym("x")
+    exprs = [
+        u * u + sin(x) * u,  # order 0: a box of one point
+        x * u + sum(first, Expr.const(0)) + sin(u) * first[0] ** 2 + exp(first[-1]) / 3,
+        sum(second, Expr.const(0)) + first[0] * second[-1] + cos(x) * second[0] ** 3 - u,
+    ]
+    bounds = tuple((-0.5 * a, 1.0 + a) for a in range(bundle.m))
+    s = sample_section(bundle, bounds, shape, {"u": lambda *c: np.sin(1.0 + sum((a + 2) * t for a, t in enumerate(c)))})
+    rng = np.random.default_rng(bundle.m)
+    edges = list(itertools.product(*((1, n - 2) for n in shape)))  # the first and last points with stencil support
+    inner = [tuple(int(i) for i in rng.integers(2, np.array(shape) - 2)) for _ in range(3)]
+    outer = list(itertools.product(*((0, n - 1) for n in shape)))
+    cases = [(e, p) for e in exprs for p in edges + inner] + [(exprs[0], p) for p in outer]
+    expected = [eval_jet_grid(e, s)[p] for e, p in cases]
+
+    real = oracle._derivative_array
+    widths = []
+
+    def spy(arr, exponents, spacing):
+        widths.extend(arr.shape)
+        return real(arr, exponents, spacing)
+
+    monkeypatch.setattr(oracle, "_derivative_array", spy)
+    for (e, p), want in zip(cases, expected):
+        assert np.float64(eval_jet(e, s, p)).tobytes() == want.tobytes(), (e, p)
+    assert widths and max(widths) <= 3

@@ -5,49 +5,26 @@
 
 Shows second-order convergence of the total-derivative check (on ``u*u``)
 and of the action-variation check on base dimensions 1, 2 and 3: the
-oscillator density on a line, the Dirichlet density on the square and the
-cube.  Each row halves the grid spacing of the row above, so a ratio near 4
-is the measured second order.
+classical densities of ``varjet.checks.classical_lagrangian`` (the
+oscillator on a line, the Dirichlet energy on the square and the cube) on
+the oracle's default sections of ``varjet.oracle.default_sections``, the
+same the ``oracle`` and ``check`` commands use.  Each row halves the grid
+spacing of the row above, so a ratio near 4 is the measured second order.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
-from varjet import (
-    BundleSpec,
-    Form,
-    Lagrangian,
-    MultiIndex,
-    bump,
-    check_action_variation,
-    check_total_derivative,
-    sample_section,
-    sym,
-)
-from varjet.checks import _oscillator_setup
-from varjet.expr import sum_exprs
+from varjet import check_action_variation, check_total_derivative, sample_section, sym
+from varjet.checks import classical_lagrangian
+from varjet.oracle import default_sections
 
-BASE = ("x", "y", "z")
 # Points per axis of the coarsest grid and number of rows, per base dimension.
 STUDIES = ((1, 249, 5), (2, 25, 4), (3, 25, 3))
 
 
-def _dirichlet_setup(m: int, n: int):
-    """Dirichlet density, a product of sines and a product of bumps on [0, 1]^m."""
-    bundle = BundleSpec(BASE[:m], ("u",))
-    grads = [bundle.jet("u", MultiIndex(bundle.base, tuple(int(a == b) for b in range(m)))) for a in range(m)]
-    energy = Fraction(1, 2) * sum_exprs(g**2 for g in grads)
-    lag = Lagrangian(bundle, Form(m, bundle.base, {tuple(range(1, m + 1)): energy}))
-    bounds, shape = ((0.0, 1.0),) * m, (n,) * m
-    b = bump(0.0, 1.0)
-    section = sample_section(bundle, bounds, shape, {"u": lambda *xs: np.prod([np.sin(np.pi * x) for x in xs], axis=0)})
-    eta = sample_section(bundle, bounds, shape, {"u": lambda *xs: np.prod([b(x) for x in xs], axis=0)})
-    return lag, section, eta
-
-
 def _errors(m: int, n: int) -> tuple[float, float]:
-    lag, s, eta = _oscillator_setup(n) if m == 1 else _dirichlet_setup(m, n)
+    lag = classical_lagrangian(m)
+    s, eta = default_sections(lag.bundle, n)
     field = sample_section(s.bundle, s.bounds, s.shape, {"u": lambda *xs: np.sin(sum(xs))})
     _, _, a_err = check_action_variation(lag, s, eta)
     return check_total_derivative(sym("u") * sym("u"), field), a_err

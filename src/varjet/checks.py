@@ -14,7 +14,7 @@ from random import Random
 import numpy as np
 
 from .bundle import BundleSpec, FiberwiseJetSpaceSpec, enumerate_fiberwise_coordinates, enumerate_jet_coordinates, jet_atom
-from .expr import Expr, Sym, diff, substitute
+from .expr import Expr, Sym, diff, substitute, sum_exprs
 from .fiberwise import (
     SectionFamily,
     check_functional_commutation,
@@ -32,7 +32,7 @@ from .jetcalc import (
     total_derivative,
 )
 from .multiindex import MultiIndex, indices_up_to
-from .oracle import bump, check_action_variation, check_total_derivative, sample_section
+from .oracle import DEFAULTS, check_action_variation, check_total_derivative, default_sections, sample_section
 from .randgen import (
     rand_base_morphism,
     rand_bundle,
@@ -46,10 +46,6 @@ from .randgen import (
     taylor_matched_pair,
 )
 from .variational import Lagrangian, euler_lagrange, momentum, momentum_divergence
-
-
-# Oracle grid points per axis and tolerance, by base dimension.
-ORACLE_DEFAULTS = {1: (2000, 1e-4), 2: (200, 1e-3)}
 
 
 @dataclass
@@ -246,23 +242,28 @@ def null_lagrangians(seed: int = 0, cases: int = 20) -> CheckResult:
     return CheckResult("null_lagrangians", True, cases, "total derivatives are null", 0.0)
 
 
+def classical_lagrangian(m: int) -> Lagrangian:
+    """A classical density over base ``x, y, z`` (the first m, m <= 3) and
+    fiber ``u``: the oscillator 1/2 (u_x^2 - u^2) on a line, the Dirichlet
+    energy 1/2 (u_x^2 + u_y^2 + ...) for m >= 2, with terms in axis order."""
+    bundle = BundleSpec(("x", "y", "z")[:m], ("u",))
+    energy = sum_exprs(bundle.jet("u", MultiIndex.unit(bundle.base, name)) ** 2 for name in bundle.base)
+    if m == 1:
+        energy = energy - Expr.atom(Sym("u")) ** 2
+    return Lagrangian(bundle, Form(m, bundle.base, {tuple(range(1, m + 1)): Fraction(1, 2) * energy}))
+
+
 @_timed
 def el_classical_examples() -> CheckResult:
     """The two classical densities produce their textbook field equations."""
-    b1 = BundleSpec(("x",), ("u",))
     u = Expr.atom(Sym("u"))
-    ux = b1.jet("u", MultiIndex(("x",), (1,)))
-    uxx = b1.jet("u", MultiIndex(("x",), (2,)))
-    half = Fraction(1, 2)
-    osc = Lagrangian(b1, Form(1, b1.base, {(1,): half * (ux**2 - u**2)}))
+    osc, dirichlet = classical_lagrangian(1), classical_lagrangian(2)
+    uxx = osc.bundle.jet("u", MultiIndex(("x",), (2,)))
     if euler_lagrange(osc).component("u") != -u - uxx:
         return CheckResult("el_classical_examples", False, 1, "oscillator mismatch", 0.0)
-    b2 = BundleSpec(("x", "y"), ("u",))
-    ux2 = b2.jet("u", MultiIndex(b2.base, (1, 0)))
-    uy2 = b2.jet("u", MultiIndex(b2.base, (0, 1)))
+    b2 = dirichlet.bundle
     uxx2 = b2.jet("u", MultiIndex(b2.base, (2, 0)))
     uyy2 = b2.jet("u", MultiIndex(b2.base, (0, 2)))
-    dirichlet = Lagrangian(b2, Form(2, b2.base, {(1, 2): half * (ux2**2 + uy2**2)}))
     if euler_lagrange(dirichlet).component("u") != -(uxx2 + uyy2):
         return CheckResult("el_classical_examples", False, 2, "Dirichlet mismatch", 0.0)
     return CheckResult("el_classical_examples", True, 2, "oscillator and Dirichlet equations recovered", 0.0)
@@ -384,44 +385,17 @@ def oracle_convergence(grid: int = 500) -> CheckResult:
     return CheckResult("oracle_convergence", passed, 2, f"error ratio {ratio:.2f}", 0.0)
 
 
-def _oscillator_setup(grid: int):
-    bundle = BundleSpec(("x",), ("u",))
-    ux = bundle.jet("u", MultiIndex(("x",), (1,)))
-    u = Expr.atom(Sym("u"))
-    lag = Lagrangian(bundle, Form(1, bundle.base, {(1,): Fraction(1, 2) * (ux**2 - u**2)}))
-    section = sample_section(bundle, ((0.0, 1.0),), (grid,), {"u": lambda x: np.sin(np.pi * x)})
-    eta = sample_section(bundle, ((0.0, 1.0),), (grid,), {"u": bump(0.0, 1.0)})
-    return lag, section, eta
-
-
-def _dirichlet_setup(grid: int):
-    bundle = BundleSpec(("x", "y"), ("u",))
-    ux = bundle.jet("u", MultiIndex(bundle.base, (1, 0)))
-    uy = bundle.jet("u", MultiIndex(bundle.base, (0, 1)))
-    lag = Lagrangian(bundle, Form(2, bundle.base, {(1, 2): Fraction(1, 2) * (ux**2 + uy**2)}))
-    bounds = ((0.0, 1.0), (0.0, 1.0))
-    section = sample_section(bundle, bounds, (grid, grid), {"u": lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)})
-    bx, by = bump(0.0, 1.0), bump(0.0, 1.0)
-    eta = sample_section(bundle, bounds, (grid, grid), {"u": lambda x, y: bx(x) * by(y)})
-    return lag, section, eta
-
-
 @_timed
-def oracle_action_variation(
-    grid_1d: int = ORACLE_DEFAULTS[1][0],
-    grid_2d: int = ORACLE_DEFAULTS[2][0],
-    tol_1d: float = ORACLE_DEFAULTS[1][1],
-    tol_2d: float = ORACLE_DEFAULTS[2][1],
-) -> CheckResult:
-    """Euler-Lagrange components are the functional derivative of the action."""
-    lag, section, eta = _oscillator_setup(grid_1d)
-    _, _, err1 = check_action_variation(lag, section, eta)
-    lag2, section2, eta2 = _dirichlet_setup(grid_2d)
-    _, _, err2 = check_action_variation(lag2, section2, eta2)
-    passed = err1 <= tol_1d and err2 <= tol_2d
-    return CheckResult(
-        "oracle_action_variation", passed, 2, f"relative errors {err1:.3e} (1d), {err2:.3e} (2d)", 0.0
-    )
+def oracle_action_variation(settings: dict[int, tuple[int, float]] = DEFAULTS) -> CheckResult:
+    """Euler-Lagrange components are the functional derivative of the action,
+    for the classical density of each base dimension of ``settings``."""
+    errors = {}
+    for m, (grid, _) in settings.items():
+        lag = classical_lagrangian(m)
+        errors[m] = check_action_variation(lag, *default_sections(lag.bundle, grid))[2]
+    passed = all(err <= settings[m][1] for m, err in errors.items())
+    detail = ", ".join(f"{err:.3e} ({m}d)" for m, err in errors.items())
+    return CheckResult("oracle_action_variation", passed, len(errors), f"relative errors {detail}", 0.0)
 
 
 ALL_CHECKS = (
@@ -445,14 +419,14 @@ ALL_CHECKS = (
 )
 
 
-def run_all(seed: int = 0, oracle: dict[int, tuple[int, float]] = ORACLE_DEFAULTS) -> list[CheckResult]:
+def run_all(seed: int = 0, oracle: dict[int, tuple[int, float]] = DEFAULTS) -> list[CheckResult]:
     """Every check of ``ALL_CHECKS``; ``oracle`` maps each base dimension to
     its grid points per axis and tolerance."""
-    (grid_1d, tol_1d), (grid_2d, tol_2d) = oracle[1], oracle[2]
+    grid_1d, tol_1d = oracle[1]
     kwargs = {
         el_classical_examples: {},
         oracle_total_derivative: {"grid": min(grid_1d, 1000), "tolerance": tol_1d},
         oracle_convergence: {},
-        oracle_action_variation: {"grid_1d": grid_1d, "grid_2d": grid_2d, "tol_1d": tol_1d, "tol_2d": tol_2d},
+        oracle_action_variation: {"settings": oracle},
     }
     return [fn(**kwargs.get(fn, {"seed": seed})) for fn in ALL_CHECKS]

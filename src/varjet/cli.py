@@ -16,27 +16,19 @@ usage, parse or validation errors, 2 on a failed mathematical check.
 
 import argparse
 import json
-import math
 import sys
 import warnings
 
-import numpy as np
-
+from . import oracle
 from .bundle import CoordinateError, OrderError
-from .checks import ORACLE_DEFAULTS, run_all
+from .checks import run_all
 from .fiberwise import check_functional_commutation, fiberwise_jet
 from .forms import Form
 from .jetcalc import check_naturality, formal_exterior_differential
-from .oracle import bump, check_action_variation, check_total_derivative, sample_section
 from .parser import ParseError
 from .render import expr_latex, form_json, form_latex, form_text
 from .specfile import TASK_KINDS, SpecFile, Task, load_specfile_path
 from .variational import ProjectabilityError, euler_lagrange
-
-# Oracle grids: at least MIN_GRID points per axis, at most MAX_GRID_POINTS in all.
-MIN_GRID = 5
-MAX_GRID_POINTS = 10**6
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
@@ -54,21 +46,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--tolerance", type=float, default=None, help="override the numeric tolerances")
     ap.add_argument("--grid", type=int, default=None, help="grid points per axis for the numeric checks")
     return ap
-
-
-def _oracle_settings(m: int, grid: int | None, tolerance: float | None) -> tuple[int, float]:
-    """Grid points per axis and tolerance of an m-dimensional oracle: the
-    given values or the defaults, checked before any array is allocated."""
-    default_grid, default_tolerance = ORACLE_DEFAULTS[m]
-    grid = default_grid if grid is None else grid
-    tolerance = default_tolerance if tolerance is None else tolerance
-    if grid < MIN_GRID:
-        raise ValueError(f"an oracle grid needs at least {MIN_GRID} points per axis, got {grid}")
-    if grid**m > MAX_GRID_POINTS:
-        raise ValueError(f"an oracle grid of {grid}^{m} points exceeds the limit of {MAX_GRID_POINTS}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"the tolerance must be finite and positive, got {tolerance}")
-    return grid, tolerance
 
 
 # -- runners: compute one task, return its payload ------------------------------
@@ -136,47 +113,18 @@ def run_commute(task: Task, args, morphism, section, variation) -> dict:
     }
 
 
-def _default_section_functions(bundle):
-    if bundle.m == 1:
-        return {p: (lambda x, j=j: np.sin((j + 1) * np.pi * x)) for j, p in enumerate(bundle.fiber)}
-    return {
-        p: (lambda x, y, j=j: np.sin((j + 1) * np.pi * x) * np.sin(np.pi * y)) for j, p in enumerate(bundle.fiber)
-    }
-
-
 def run_oracle(task: Task, args, lag) -> dict:
-    bundle = lag.bundle
-    if bundle.m not in ORACLE_DEFAULTS:
+    m = lag.bundle.m
+    if m not in oracle.DEFAULTS:
         raise ParseError("the numeric oracle supports base dimension 1 and 2", task.line or 1, 1)
-    grid, tolerance = _oracle_settings(bundle.m, task.options.get("grid") if args.grid is None else args.grid, args.tolerance)
-    bounds = ((0.0, 1.0),) * bundle.m
-    shape = (grid,) * bundle.m
-    section = sample_section(bundle, bounds, shape, _default_section_functions(bundle))
-    bumps = [bump(0.0, 1.0) for _ in range(bundle.m)]
-
-    def eta_fn(*coords):
-        total = 1.0
-        for fn, c in zip(bumps, coords):
-            total = total * fn(c)
-        return total
-
-    eta = sample_section(bundle, bounds, shape, {p: eta_fn for p in bundle.fiber})
-    rows = []
-    worst = 0.0
-    for key, density in lag.value.items():
-        err = check_total_derivative(density, section)
-        worst = max(worst, err)
-        rows.append({"check": "total_derivative", "basis": list(key), "error": err})
-    if lag.is_classical:
-        lhs, rhs, err = check_action_variation(lag, section, eta)
-        worst = max(worst, err)
-        rows.append({"check": "action_variation", "lhs": lhs, "rhs": rhs, "error": err})
+    grid, tolerance = oracle.settings(m, task.options.get("grid") if args.grid is None else args.grid, args.tolerance)
+    rows = oracle.validate(lag, grid)
     return {
         "command": "oracle",
         "name": task.names[0],
         "grid": grid,
         "tolerance": tolerance,
-        "passed": worst <= tolerance,
+        "passed": all(row["error"] <= tolerance for row in rows),
         "results": rows,
     }
 
@@ -196,14 +144,14 @@ def run_task(spec: SpecFile, task: Task, args) -> dict:
 
 
 def run_check(specs: list[tuple[str, SpecFile]], args) -> dict:
-    oracle = {m: _oracle_settings(m, args.grid, args.tolerance) for m in ORACLE_DEFAULTS}
+    grids = {m: oracle.settings(m, args.grid, args.tolerance) for m in oracle.DEFAULTS}
     rows = [
         (f"{path}: {task.command} {' '.join(task.names)}", bool(run_task(spec, task, args)["passed"]), "")
         for path, spec in specs
         for task in spec.tasks
         if task.command != "check"
     ]
-    rows += [(r.name, r.passed, r.detail) for r in run_all(args.seed, oracle)]
+    rows += [(r.name, r.passed, r.detail) for r in run_all(args.seed, grids)]
     return {
         "command": "check",
         "seed": args.seed,

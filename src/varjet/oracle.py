@@ -11,6 +11,7 @@ is an identity when the variation vanishes near the boundary.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -20,6 +21,12 @@ from .expr import Expr, Sym, evaluate
 from .variational import Lagrangian, euler_lagrange
 
 EPSILON_ACTION = 1e-4  # step for the numeric derivative of the action
+
+# Default grid points per axis and tolerance of the oracle, by base dimension.
+DEFAULTS = {1: (2000, 1e-4), 2: (200, 1e-3)}
+# Oracle grids: at least MIN_GRID points per axis, at most MAX_GRID_POINTS in all.
+MIN_GRID = 5
+MAX_GRID_POINTS = 10**6
 
 
 class StencilError(ValueError):
@@ -57,9 +64,16 @@ class GridSection:
     def spacing(self) -> tuple[float, ...]:
         return tuple((hi - lo) / (n - 1) for (lo, hi), n in zip(self.bounds, self.shape))
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(self.bounds, self.shape))
+        for a in axes:
+            a.flags.writeable = False  # shared by every caller
+        return axes
+
     def axis_points(self, axis: int) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        return np.linspace(lo, hi, self.shape[axis])
+        """The grid coordinates along one axis, built once per section."""
+        return self._axes[axis]
 
     def coordinate_arrays(self, box: tuple[slice, ...] | None = None) -> dict[Sym, np.ndarray]:
         """The base coordinates on the grid, or on the sub-box ``box`` of
@@ -288,3 +302,62 @@ def check_action_variation(
         return lhs, rhs, 0.0
     scale = max(abs(lhs), abs(rhs), 1e-14)
     return lhs, rhs, gap / scale
+
+
+# -- the oracle driver: grid policy, default sections and the checks --------------
+
+
+def settings(m: int, grid: int | None, tolerance: float | None) -> tuple[int, float]:
+    """Grid points per axis and tolerance of an m-dimensional oracle: the
+    given values or the defaults, checked before any array is allocated."""
+    default_grid, default_tolerance = DEFAULTS[m]
+    grid = default_grid if grid is None else grid
+    tolerance = default_tolerance if tolerance is None else tolerance
+    if grid < MIN_GRID:
+        raise ValueError(f"an oracle grid needs at least {MIN_GRID} points per axis, got {grid}")
+    if grid**m > MAX_GRID_POINTS:
+        raise ValueError(f"an oracle grid of {grid}^{m} points exceeds the limit of {MAX_GRID_POINTS}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"the tolerance must be finite and positive, got {tolerance}")
+    return grid, tolerance
+
+
+def default_sections(bundle: BundleSpec, grid: int) -> tuple[GridSection, GridSection]:
+    """The oracle's section and variation on [0, 1]^m, ``grid`` points per axis.
+
+    Fiber j is ``sin((j+1) pi x_1) sin(pi x_2) ... sin(pi x_m)`` and every
+    fiber varies by the bump product ``bump(x_1) ... bump(x_m)``, which
+    vanishes with its first two derivatives near the boundary.  Factors
+    multiply left to right.
+    """
+    bounds, shape = ((0.0, 1.0),) * bundle.m, (grid,) * bundle.m
+    b = bump(0.0, 1.0)
+    waves = {
+        p: lambda x, *rest, j=j: math.prod((np.sin(np.pi * c) for c in rest), start=np.sin((j + 1) * np.pi * x))
+        for j, p in enumerate(bundle.fiber)
+    }
+    section = sample_section(bundle, bounds, shape, waves)
+    return section, sample_section(bundle, bounds, shape, {p: lambda *xs: math.prod(map(b, xs), start=1.0) for p in bundle.fiber})
+
+
+def validate(lag: Lagrangian, grid: int) -> list[dict]:
+    """The oracle's checks of ``lag`` on the default sections: the total
+    derivative of every density, and the action variation when ``lag`` is
+    classical.  One row per check, with its relative error.
+
+    A non-finite error, such as NaN from a density evaluated outside its
+    domain, is an input the oracle cannot judge: ``ValueError``.
+    """
+    section, eta = default_sections(lag.bundle, grid)
+    rows = [
+        {"check": "total_derivative", "basis": list(key), "error": check_total_derivative(density, section)}
+        for key, density in lag.value.items()
+    ]
+    if lag.is_classical:
+        lhs, rhs, err = check_action_variation(lag, section, eta)
+        rows.append({"check": "action_variation", "lhs": lhs, "rhs": rhs, "error": err})
+    for row in rows:
+        if not math.isfinite(row["error"]):
+            what = f"total derivative on dx{row['basis']}" if row["check"] == "total_derivative" else "action variation"
+            raise ValueError(f"the oracle cannot judge this input: the {what} has relative error {row['error']}")
+    return rows

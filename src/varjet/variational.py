@@ -53,9 +53,6 @@ class Lagrangian:
     def is_classical(self) -> bool:
         return self.degree == self.bundle.m
 
-    def as_morphism(self) -> Morphism:
-        return Morphism(self.bundle, 1, None, self.value)
-
     def __add__(self, other: "Lagrangian") -> "Lagrangian":
         return Lagrangian(self.bundle, self.value + other.value)
 

@@ -26,9 +26,9 @@ from varjet.checks import (
 from varjet.expr import sym
 from varjet.forms import Form
 from varjet.multiindex import MultiIndex
-from varjet.oracle import check_action_variation
+from varjet.oracle import check_action_variation, default_sections
 from varjet.variational import Lagrangian, euler_lagrange
-from varjet.checks import _dirichlet_setup, _oscillator_setup
+from varjet.checks import classical_lagrangian
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,10 +81,9 @@ def test_criterion_05_classical_equations_and_oracle():
     dirichlet = Lagrangian(b2, Form(2, b2.base, {(1, 2): Fraction(1, 2) * (ux2**2 + uy2**2)}))
     symbolic_2d = euler_lagrange(dirichlet).component("u") == -(uxx2 + uyy2)
 
-    lag1, s1, eta1 = _oscillator_setup(2000)
-    _, _, err1 = check_action_variation(lag1, s1, eta1)
-    lag2, s2, eta2 = _dirichlet_setup(200)
-    _, _, err2 = check_action_variation(lag2, s2, eta2)
+    lag1, lag2 = classical_lagrangian(1), classical_lagrangian(2)
+    _, _, err1 = check_action_variation(lag1, *default_sections(lag1.bundle, 2000))
+    _, _, err2 = check_action_variation(lag2, *default_sections(lag2.bundle, 200))
     elapsed = time.perf_counter() - t0
     ok = symbolic_1d and symbolic_2d and err1 <= 1e-4 and err2 <= 1e-3 and elapsed <= 30.0
     report(5, "classical field equations + oracle", ok,

@@ -61,3 +61,43 @@ def test_property_suite_mix_is_pinned():
     workloads = load_workloads()
     assert workloads.PROPERTY_WEIGHTS == PROPERTY_WEIGHTS
     assert workloads.SEEDLESS == SEEDLESS
+
+
+# The benchmark's own correctness gates, in quick mode: every task must pass,
+# two passes over the same tasks must print the same text, and the EL
+# property cases must agree with sympy.  The tests above run only a short
+# prefix of each workload.
+GATED = ("dense_pipeline", "oracle_grid", "property_suite")
+PROPERTY_CASES = 330
+
+
+def gated_workload(workloads, name):
+    """The quick workload and how many tasks to run: its whole input pool
+    (dense_pipeline runs one task per kind and input), or the first
+    PROPERTY_CASES property cases."""
+    workload = workloads.make(name, 0, quick=True)
+    if name == "property_suite":
+        return workload, PROPERTY_CASES
+    return workload, len(workload.pool) * (len(workload.KINDS) if name == "dense_pipeline" else 1)
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_benchmark_gates_in_quick_mode(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    workloads = load_workloads()
+    workload, count = gated_workload(workloads, name)
+    texts = []
+    for _ in range(2):
+        outcomes = [workload.task(i).run() for i in range(count)]
+        failed = [(i, o.detail) for i, o in enumerate(outcomes) if not o.ok]
+        assert not failed, (name, failed[:3])
+        texts.append([o.text for o in outcomes])
+    assert texts[0] == texts[1], f"{name}: outputs differ between two passes over the same tasks"
+
+
+def test_property_suite_agrees_with_sympy(monkeypatch):
+    pytest.importorskip("sympy")
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workload, count = gated_workload(load_workloads(), "property_suite")
+    assert workload.reference(count, {}) == []

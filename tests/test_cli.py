@@ -173,8 +173,8 @@ ORACLE_2D = str(SPECS / "dirichlet2d.vspec")
     "argv",
     [
         ["oracle", ORACLE_1D, "--grid", "0"],
-        ["oracle", ORACLE_1D, "--grid", str(cli.MIN_GRID - 1)],
-        ["oracle", ORACLE_1D, "--grid", str(cli.MAX_GRID_POINTS + 1)],
+        ["oracle", ORACLE_1D, "--grid", str(oracle.MIN_GRID - 1)],
+        ["oracle", ORACLE_1D, "--grid", str(oracle.MAX_GRID_POINTS + 1)],
         ["oracle", ORACLE_1D, "--grid", "100000000000"],
         ["oracle", ORACLE_2D, "--grid", "1001"],  # 1001^2 is just past 10^6
         ["oracle", ORACLE_1D, "--grid", "50", "--tolerance", "nan"],
@@ -187,7 +187,7 @@ ORACLE_2D = str(SPECS / "dirichlet2d.vspec")
 )
 def test_oracle_flags_are_validated(capsys, monkeypatch, argv):
     # rejected before any grid is sampled
-    monkeypatch.setattr(cli, "sample_section", None)
+    monkeypatch.setattr(oracle, "sample_section", None)
     monkeypatch.setattr(cli, "run_all", None)
     one_line_error(*run(capsys, *argv))
 
@@ -195,18 +195,18 @@ def test_oracle_flags_are_validated(capsys, monkeypatch, argv):
 def test_oracle_grid_option_is_validated(tmp_path, capsys):
     spec = tmp_path / "small.vspec"
     spec.write_text(
-        f"[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = u_x^2 dx[1]\n[task]\noracle L grid={cli.MIN_GRID - 1}\n"
+        f"[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = u_x^2 dx[1]\n[task]\noracle L grid={oracle.MIN_GRID - 1}\n"
     )
     one_line_error(*run(capsys, "oracle", str(spec)))
 
 
 def test_oracle_bounds_are_inclusive(capsys):
-    assert cli._oracle_settings(1, cli.MIN_GRID, 1e-300) == (cli.MIN_GRID, 1e-300)
-    assert cli._oracle_settings(1, cli.MAX_GRID_POINTS, None) == (cli.MAX_GRID_POINTS, 1e-4)
-    assert cli._oracle_settings(2, 1000, None) == (1000, 1e-3)
+    assert oracle.settings(1, oracle.MIN_GRID, 1e-300) == (oracle.MIN_GRID, 1e-300)
+    assert oracle.settings(1, oracle.MAX_GRID_POINTS, None) == (oracle.MAX_GRID_POINTS, 1e-4)
+    assert oracle.settings(2, 1000, None) == (1000, 1e-3)
     # the smallest grid runs; at 5 points the errors are large, so the check fails (exit 2), not the input,
     # and the library's boundary warning reaches stderr as one line
-    code, out, err = run(capsys, "oracle", ORACLE_1D, "--grid", str(cli.MIN_GRID))
+    code, out, err = run(capsys, "oracle", ORACLE_1D, "--grid", str(oracle.MIN_GRID))
     assert code == 2 and "oracle: FAILED" in out
     assert err == (
         "warning: variation does not vanish near the boundary; expect boundary terms\n"
@@ -231,6 +231,19 @@ def test_oracle_passes_a_null_lagrangian(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(oracle, "euler_lagrange", doubled)
     code, out, _ = run(capsys, "oracle", ORACLE_1D)
     assert code == 2 and "oracle: FAILED" in out
+
+
+@pytest.mark.parametrize("command, flags", [("oracle", []), ("oracle", ["--json"]), ("check", []), ("check", ["--json"])])
+def test_oracle_rejects_a_nan_error(tmp_path, capsys, command, flags):
+    # ln(u - 2) is NaN on every sample of the default section: the oracle
+    # cannot judge it, which is an input error, not a pass (max(0, nan) is 0).
+    spec = tmp_path / "nan.vspec"
+    spec.write_text("[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = ln(u - 2)*u_x^2 dx[1]\n[task]\noracle L grid=50\n")
+    code, out, err = run(capsys, command, str(spec), *flags)
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and "total derivative on dx[1]" in last
+    assert "Traceback" not in err
 
 
 def test_oracle_rejects_base_dimension_3(tmp_path, capsys):

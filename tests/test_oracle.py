@@ -313,3 +313,96 @@ def test_eval_jet_reads_its_box_bit_for_bit(bundle, shape, monkeypatch):
     for (e, p), want in zip(cases, expected):
         assert np.float64(eval_jet(e, s, p)).tobytes() == want.tobytes(), (e, p)
     assert widths and max(widths) <= 3
+
+
+# -- the oracle driver ------------------------------------------------------------
+#
+# The references are the set-ups that `default_sections` and
+# `classical_lagrangian` replaced: the CLI's section functions and bump
+# product, the property suite's oscillator and Dirichlet set-ups, and the
+# convergence script's `np.prod` forms.  The floats must match bit for bit.
+
+
+def _reference_cli_sections(bundle, grid):
+    bounds, shape = ((0.0, 1.0),) * bundle.m, (grid,) * bundle.m
+    if bundle.m == 1:
+        funcs = {p: (lambda x, j=j: np.sin((j + 1) * np.pi * x)) for j, p in enumerate(bundle.fiber)}
+    else:
+        funcs = {p: (lambda x, y, j=j: np.sin((j + 1) * np.pi * x) * np.sin(np.pi * y)) for j, p in enumerate(bundle.fiber)}
+    bumps = [bump(0.0, 1.0) for _ in range(bundle.m)]
+
+    def eta_fn(*coords):
+        total = 1.0
+        for fn, c in zip(bumps, coords):
+            total = total * fn(c)
+        return total
+
+    section = sample_section(bundle, bounds, shape, funcs)
+    return section, sample_section(bundle, bounds, shape, {p: eta_fn for p in bundle.fiber})
+
+
+def _reference_script_sections(bundle, grid):
+    bounds, shape = ((0.0, 1.0),) * bundle.m, (grid,) * bundle.m
+    b = bump(0.0, 1.0)
+    section = sample_section(bundle, bounds, shape, {"u": lambda *xs: np.prod([np.sin(np.pi * x) for x in xs], axis=0)})
+    eta = sample_section(bundle, bounds, shape, {"u": lambda *xs: np.prod([b(x) for x in xs], axis=0)})
+    return section, eta
+
+
+def _reference_checks_sections(bundle, grid):
+    bounds, shape = ((0.0, 1.0),) * bundle.m, (grid,) * bundle.m
+    if bundle.m == 1:
+        section = sample_section(bundle, bounds, shape, {"u": lambda x: np.sin(np.pi * x)})
+        return section, sample_section(bundle, bounds, shape, {"u": bump(0.0, 1.0)})
+    bx, by = bump(0.0, 1.0), bump(0.0, 1.0)
+    section = sample_section(bundle, bounds, shape, {"u": lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)})
+    return section, sample_section(bundle, bounds, shape, {"u": lambda x, y: bx(x) * by(y)})
+
+
+def _same_bytes(a: GridSection, b: GridSection) -> bool:
+    return a.values.keys() == b.values.keys() and all(a.values[p].tobytes() == b.values[p].tobytes() for p in a.values)
+
+
+@pytest.mark.parametrize(
+    "bundle, grid, reference",
+    [
+        (B1, 2000, _reference_cli_sections),
+        (BundleSpec(("x",), ("u", "v")), 301, _reference_cli_sections),
+        (B2, 200, _reference_cli_sections),
+        (BundleSpec(("x", "y"), ("u", "v")), 41, _reference_cli_sections),
+        (B1, 2000, _reference_checks_sections),
+        (B2, 200, _reference_checks_sections),
+        (B1, 249, _reference_script_sections),
+        (B2, 49, _reference_script_sections),
+        (B3, 25, _reference_script_sections),
+    ],
+)
+def test_default_sections_match_the_replaced_code_bit_for_bit(bundle, grid, reference):
+    section, eta = oracle.default_sections(bundle, grid)
+    ref_section, ref_eta = reference(bundle, grid)
+    assert _same_bytes(section, ref_section) and _same_bytes(eta, ref_eta)
+
+
+def test_classical_lagrangian_is_the_hand_built_density():
+    from varjet.checks import classical_lagrangian
+
+    def terms_in_order(lag):
+        return [(key, list(c._terms.items())) for key, c in lag.value.items()]
+
+    osc = Lagrangian(B1, Form(1, B1.base, {(1,): Fraction(1, 2) * (ux**2 - u**2)}))
+    ux2 = B2.jet("u", MultiIndex(B2.base, (1, 0)))
+    uy2 = B2.jet("u", MultiIndex(B2.base, (0, 1)))
+    dirichlet = Lagrangian(B2, Form(2, B2.base, {(1, 2): Fraction(1, 2) * (ux2**2 + uy2**2)}))
+    for m, reference in ((1, osc), (2, dirichlet)):
+        lag = classical_lagrangian(m)
+        assert lag == reference and lag.bundle == reference.bundle
+        assert terms_in_order(lag) == terms_in_order(reference)
+
+
+def test_axis_points_are_built_once():
+    s = sample_section(B2, ((0.0, 1.0), (-1.0, 2.0)), (7, 11), {"u": lambda x, y: x * y})
+    for axis, (lo, hi) in enumerate(s.bounds):
+        first = s.axis_points(axis)
+        assert s.axis_points(axis) is first
+        assert first.tobytes() == np.linspace(lo, hi, s.shape[axis]).tobytes()
+        assert not first.flags.writeable

@@ -12,11 +12,15 @@ differ.  The benchmark's run digest covers only a short certified prefix
 (3 tasks on ``dense_pipeline``); this covers the whole pool.
 
 For ``oracle_grid`` the compared text also carries every error of the
-convergence check, and the value of ``eval_jet`` at every probe point of
-the task's fine grid, at full float precision: the task text rounds the
+convergence check, the value of ``eval_jet`` at every probe point of the
+task's fine grid at full float precision, and a hash of the whole
+``eval_jet_grid`` array on that grid for the density and each of its total
+derivatives, each also with its terms reversed: the task text rounds the
 observed orders and checks the probes only against a tolerance, and a
 change in the term order of an expression changes the floats it evaluates
-to without failing any verdict.
+to without failing any verdict.  The reversed copy equals the expression
+but sums in the other order, so it must not share the grid evaluation of
+the original.
 
 The interpreters inherit the environment, so run the script under two
 ``PYTHONHASHSEED`` values to check that no output depends on hash order.
@@ -24,6 +28,7 @@ Exit code 0 when every text agrees and no task fails, 1 otherwise.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -37,17 +42,39 @@ PROPERTY_SUITE_TASKS = 1400
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def probe_values(w, j: int) -> list[float]:
-    """``eval_jet`` of pool density ``j`` at each of its probe points, on the
-    fine grid of its oracle task, rebuilt from the workload's pool."""
+def fine_grid(w, j: int):
+    """Pool density ``j`` and the fine grid of its oracle task, rebuilt from
+    the workload's pool."""
     import varjet as vj
 
-    lag, waves, probes = w.pool[j]
+    lag, waves, _ = w.pool[j]
     m = lag.bundle.m
     density = lag.value.coefficient(tuple(range(1, m + 1)))
     funcs = {p: w._section(m, wave)[0] for p, wave in zip(lag.bundle.fiber, waves)}
-    fine = vj.sample_section(lag.bundle, ((0.0, 1.0),) * m, (w.GRID[m],) * m, funcs)
-    return [vj.eval_jet(density, fine, point) for point in probes]
+    return density, vj.sample_section(lag.bundle, ((0.0, 1.0),) * m, (w.GRID[m],) * m, funcs)
+
+
+def probe_values(w, j: int) -> list[float]:
+    """``eval_jet`` of pool density ``j`` at each of its probe points."""
+    import varjet as vj
+
+    density, fine = fine_grid(w, j)
+    return [vj.eval_jet(density, fine, point) for point in w.pool[j][2]]
+
+
+def grid_hashes(w, j: int) -> list[str]:
+    """SHA-256 of ``eval_jet_grid`` on the fine grid, for pool density ``j``
+    and its total derivatives, each followed by its term-reversed copy."""
+    import varjet as vj
+
+    density, fine = fine_grid(w, j)
+    bundle = fine.bundle
+    exprs = [density] + [vj.total_derivative(density, d, bundle, 1, None) for d in bundle.base]
+    hashes = []
+    for e in exprs:
+        for copy in (e, vj.Expr(dict(reversed(e._terms.items())))):
+            hashes.append(hashlib.sha256(vj.oracle.eval_jet_grid(copy, fine).tobytes()).hexdigest()[:16])
+    return hashes
 
 
 def dump(name: str, seed: int, path: str) -> None:
@@ -75,6 +102,7 @@ def dump(name: str, seed: int, path: str) -> None:
         if name == "oracle_grid":
             text += "\n" + repr(w.convergence.get(i % len(w.pool)))
             text += "\n" + repr(probe_values(w, i % len(w.pool)))
+            text += "\n" + " ".join(grid_hashes(w, i % len(w.pool)))
         texts.append(text)
         if not outcome.ok:
             failed.append(i)

@@ -10,14 +10,14 @@ is an identity when the variation vanishes near the boundary.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .bundle import BundleSpec, JetCoord
-from .expr import Expr, Sym, evaluate
+from .expr import Expr, FuncAtom, Sym, evaluate
 from .variational import Lagrangian, euler_lagrange
 
 EPSILON_ACTION = 1e-4  # step for the numeric derivative of the action
@@ -37,12 +37,16 @@ class StencilError(ValueError):
 class GridSection:
     """Samples of a section on a uniform grid over a box.
 
-    ``values`` holds one array per fiber coordinate, shaped like the grid.
+    ``values`` holds one array per fiber coordinate, shaped like the grid;
+    the section makes them read-only.  Grid evaluations are kept in a memo
+    that lives and dies with the section, one read-only array per distinct
+    expression in its term order (see ``eval_jet_grid``).
     """
 
     bundle: BundleSpec
     bounds: tuple[tuple[float, float], ...]
     values: Mapping[str, np.ndarray]
+    _grid_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.bounds) != self.bundle.m:
@@ -55,6 +59,8 @@ class GridSection:
                 raise ValueError(f"samples for {p!r} have shape {arr.shape}, expected {shape}")
         if any(n < 5 for n in shape):
             raise ValueError("need at least 5 points per axis for central stencils")
+        for arr in self.values.values():
+            arr.flags.writeable = False  # the memo's evaluations must not go stale
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -169,7 +175,7 @@ def jet_environment(e: Expr, s: GridSection, box: tuple[slice, ...] | None = Non
     box = box or (slice(None),) * s.bundle.m
     env: dict = dict(s.coordinate_arrays(box))
     for p in s.bundle.fiber:
-        env[Sym(p)] = s.values[p][box].copy()
+        env[Sym(p)] = s.values[p][box]  # evaluate never writes to its env
     for a in e.atoms():
         if isinstance(a, JetCoord):
             if a.vertical:
@@ -178,10 +184,39 @@ def jet_environment(e: Expr, s: GridSection, box: tuple[slice, ...] | None = Non
     return env
 
 
+def _order_key(e: Expr) -> tuple:
+    """The terms of ``e`` in insertion order, function arguments included.
+
+    ``evaluate`` sums in this order, so two expressions with equal keys
+    evaluate to the same floats; ``Expr.__eq__`` ignores the order, and
+    equal expressions may not."""
+    return tuple((tuple((_atom_order_key(a), k) for a, k in mono), c) for mono, c in e._terms.items())
+
+
+def _atom_order_key(a):
+    if isinstance(a, FuncAtom):
+        return (a.func, tuple(map(_order_key, a.args)), a.derivs)
+    return a
+
+
 def eval_jet_grid(e: Expr, s: GridSection) -> np.ndarray:
     """Evaluate a jet expression over the whole grid (NaN at the boundary
-    margin required by its stencils)."""
-    return np.asarray(evaluate(e, jet_environment(e, s)), dtype=float) * np.ones(s.shape)
+    margin required by its stencils).
+
+    The result is read-only and kept on ``s``: the same expression, in the
+    same term order, is evaluated once per section.  numpy's floating-point
+    warnings are silenced; a value outside the domain is NaN.
+    """
+    key = _order_key(e)
+    values = s._grid_memo.get(key)
+    if values is None:
+        with np.errstate(all="ignore"):
+            values = np.asarray(evaluate(e, jet_environment(e, s)), dtype=float)
+        if values.shape != s.shape:
+            values = values * np.ones(s.shape)
+        values.flags.writeable = False
+        s._grid_memo[key] = values
+    return values
 
 
 def eval_jet(e: Expr, s: GridSection, point: tuple[int, ...]) -> float:
@@ -192,6 +227,10 @@ def eval_jet(e: Expr, s: GridSection, point: tuple[int, ...]) -> float:
     evaluates there.  Stencils and evaluation act point by point, so the
     value equals ``eval_jet_grid(e, s)[point]`` bit for bit, at a cost that
     does not grow with the grid.
+
+    A point too close to the boundary raises ``StencilError``; a value that
+    is not finite there, such as ``ln`` of a negative number, raises a plain
+    ``ValueError``.
     """
     order = _jet_order(e)
     margin = 1 if order else 0
@@ -199,11 +238,15 @@ def eval_jet(e: Expr, s: GridSection, point: tuple[int, ...]) -> float:
         if not margin <= idx < n - margin:
             raise StencilError(f"point {point} lacks stencil support at order {order}")
     box = tuple(slice(idx - margin, idx + margin + 1) for idx in point)
-    values = np.asarray(evaluate(e, jet_environment(e, s, box)), dtype=float) * np.ones((2 * margin + 1,) * len(point))
-    value = values[(margin,) * len(point)]
-    if np.isnan(value):
-        raise StencilError(f"point {point} lacks stencil support at order {order}")
-    return float(value)
+    with np.errstate(all="ignore"):
+        values = np.asarray(evaluate(e, jet_environment(e, s, box)), dtype=float)
+    shape = (2 * margin + 1,) * len(point)
+    if values.shape != shape:
+        values = values * np.ones(shape)
+    value = float(values[(margin,) * len(point)])
+    if not math.isfinite(value):
+        raise ValueError(f"the value at point {point} is not finite: {value}")
+    return value
 
 
 def _interior(m: int, margin: int):
@@ -346,16 +389,18 @@ def validate(lag: Lagrangian, grid: int) -> list[dict]:
     classical.  One row per check, with its relative error.
 
     A non-finite error, such as NaN from a density evaluated outside its
-    domain, is an input the oracle cannot judge: ``ValueError``.
+    domain, is an input the oracle cannot judge: ``ValueError``.  It is
+    reported that way only, so numpy's floating-point warnings are silenced.
     """
     section, eta = default_sections(lag.bundle, grid)
-    rows = [
-        {"check": "total_derivative", "basis": list(key), "error": check_total_derivative(density, section)}
-        for key, density in lag.value.items()
-    ]
-    if lag.is_classical:
-        lhs, rhs, err = check_action_variation(lag, section, eta)
-        rows.append({"check": "action_variation", "lhs": lhs, "rhs": rhs, "error": err})
+    with np.errstate(all="ignore"):
+        rows = [
+            {"check": "total_derivative", "basis": list(key), "error": check_total_derivative(density, section)}
+            for key, density in lag.value.items()
+        ]
+        if lag.is_classical:
+            lhs, rhs, err = check_action_variation(lag, section, eta)
+            rows.append({"check": "action_variation", "lhs": lhs, "rhs": rhs, "error": err})
     for row in rows:
         if not math.isfinite(row["error"]):
             what = f"total derivative on dx{row['basis']}" if row["check"] == "total_derivative" else "action variation"

@@ -246,6 +246,17 @@ def test_oracle_rejects_a_nan_error(tmp_path, capsys, command, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("density", ["ln(u - 2)", "exp(1000*u)"])
+def test_oracle_domain_error_is_one_line(tmp_path, capsys, density):
+    # NaN from ln, inf - inf from an overflowing exp: numpy warns on the
+    # way, but the one diagnostic is the error line.
+    spec = tmp_path / "domain.vspec"
+    spec.write_text(f"[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = {density}*u_x^2 dx[1]\n[task]\noracle L grid=50\n")
+    code, out, err = run(capsys, "oracle", str(spec))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_oracle_rejects_base_dimension_3(tmp_path, capsys):
     spec = tmp_path / "cube.vspec"
     spec.write_text("[bundle]\nbase = x y z\nfiber = u\n[define]\nlagrangian L = u_x^2 dx[1,2,3]\n[task]\noracle L\n")

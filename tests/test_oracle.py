@@ -7,6 +7,7 @@ floats bit for bit.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from varjet import oracle
 from varjet.bundle import BundleSpec
-from varjet.expr import Expr, cos, exp, sin, sym
+from varjet.expr import Expr, cos, exp, ln, sin, sym
 from varjet.forms import Form
 from varjet.multiindex import MultiIndex
 from varjet.oracle import (
@@ -69,6 +70,19 @@ def test_eval_jet_order_cap():
     uxxx = B1.jet("u", MultiIndex(("x",), (3,)))
     with pytest.raises(StencilError):
         eval_jet(uxxx, s, (500,))
+
+
+def test_eval_jet_reports_a_domain_error():
+    # ln(u - 2) is NaN at an interior point of an order-0 expression: the
+    # stencil has support, the value is outside the domain.  numpy's own
+    # warning must not escape; the error says what went wrong.
+    s = sample_section(B1, ((0.0, 1.0),), (101,), {"u": lambda x: x})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"point \(50,\) is not finite") as info:
+            eval_jet(ln(u - 2), s, (50,))
+        assert not isinstance(info.value, StencilError)
+        assert np.isnan(eval_jet_grid(ln(u - 2), s)).all()
 
 
 def test_grid_section_validation():

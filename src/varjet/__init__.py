@@ -42,11 +42,30 @@ from .jetcalc import (
     total_derivative,
 )
 from .multiindex import MultiIndex, RangeMismatchError
-from .oracle import GridSection, StencilError, bump, check_action_variation, check_total_derivative, eval_jet, sample_section
 from .parser import ParseContext, ParseError, parse_expression, parse_form_value
 from .variational import EulerLagrangeResult, Lagrangian, ProjectabilityError, euler_lagrange, momentum, vertical_differential
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The oracle names load on first use, so that the symbolic commands
+    # never import numpy (PEP 562).  Nothing is cached here: each access
+    # reads ``varjet.oracle``, so a name rebound there shows here too.
+    if name in (
+        "GridSection",
+        "StencilError",
+        "bump",
+        "check_action_variation",
+        "check_total_derivative",
+        "eval_jet",
+        "sample_section",
+    ):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BaseMorphism",

@@ -7,7 +7,7 @@ multi-index over the base range of the view they belong to.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .expr import Expr, Sym
@@ -25,43 +25,48 @@ class CoordinateError(ValueError):
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
 
 
-@dataclass(frozen=True, slots=True)
-class JetCoord:
+class JetCoord(str):
     """A jet coordinate of some fiber symbol, or its vertical companion.
 
     ``alpha`` ranges over the base names of the bundle view.  Positional
     coordinates with an empty multi-index are represented by plain ``Sym``
     atoms instead, so only ``alpha.order >= 1`` or vertical atoms occur.
+
+    Like :class:`~varjet.expr.Sym`, a ``str`` whose value is a canonical
+    identity: ``"\\x01"``, ``v`` or ``p``, the fiber, ``"\\x00"``, the
+    exponents joined by ``,``, ``"\\x00"`` and the base names joined by
+    ``"\\x1f"``.  Names match ``[A-Za-z][A-Za-z0-9]*``, so the value is
+    injective in ``(fiber, alpha, vertical)``.
     """
 
-    fiber: str
-    alpha: MultiIndex
-    vertical: bool = False
-    # Cached at construction, outside equality; see Sym in varjet.expr.
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
-    # Rendered on the first label() call; never pickled (see __reduce__).
-    _label: str | None = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.alpha.order == 0 and not self.vertical:
+    def __new__(cls, fiber: str, alpha: MultiIndex, vertical: bool = False):
+        if alpha.order == 0 and not vertical:
             raise ValueError("order-zero positional coordinates are plain symbols")
-        object.__setattr__(self, "_hash", hash((self.fiber, self.alpha, self.vertical)))
-        object.__setattr__(self, "_key", (1, int(self.vertical), self.fiber, self.alpha.sort_key(), self.alpha.names))
+        exponents, names = ",".join(map(str, alpha.exponents)), "\x1f".join(alpha.names)
+        self = str.__new__(cls, ("\x01v" if vertical else "\x01p") + fiber + "\x00" + exponents + "\x00" + names)
+        d = self.__dict__
+        d["fiber"] = fiber
+        d["alpha"] = alpha
+        d["vertical"] = vertical
+        d["_key"] = (1, int(vertical), fiber, alpha.sort_key(), alpha.names)
+        d["_label"] = None  # rendered on the first label() call
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    __setattr__ = Sym.__setattr__
+    __delattr__ = Sym.__delattr__
+    __str__ = Sym.__str__
+    __repr__ = Sym.__repr__
+    __format__ = Sym.__format__
+    sort_key = Sym.sort_key
 
     def __reduce__(self):
         return (JetCoord, (self.fiber, self.alpha, self.vertical))
 
-    def sort_key(self) -> tuple:
-        return self._key
-
     def label(self) -> str:
-        if self._label is None:
-            object.__setattr__(self, "_label", self._render())
-        return self._label
+        label = self._label
+        if label is None:
+            label = self.__dict__["_label"] = self._render()
+        return label
 
     def _render(self) -> str:
         head = ("d" + self.fiber) if self.vertical else self.fiber
@@ -70,9 +75,6 @@ class JetCoord:
         if all(len(n) == 1 for n in self.alpha.names):
             return head + "_" + "".join(self.alpha.suffix_names())
         return head + "[" + ",".join(map(str, self.alpha.exponents)) + "]"
-
-    def __repr__(self) -> str:
-        return self.label()
 
 
 def jet_atom(fiber: str, alpha: MultiIndex, vertical: bool = False):

@@ -19,9 +19,7 @@ import json
 import sys
 import warnings
 
-from . import oracle
 from .bundle import CoordinateError, OrderError
-from .checks import run_all
 from .fiberwise import check_functional_commutation, fiberwise_jet
 from .forms import Form
 from .jetcalc import check_naturality, formal_exterior_differential
@@ -114,6 +112,8 @@ def run_commute(task: Task, args, morphism, section, variation) -> dict:
 
 
 def run_oracle(task: Task, args, lag) -> dict:
+    from . import oracle  # numpy loads only for the numeric commands
+
     m = lag.bundle.m
     if m not in oracle.DEFAULTS:
         raise ParseError("the numeric oracle supports base dimension 1 and 2", task.line or 1, 1)
@@ -144,6 +144,9 @@ def run_task(spec: SpecFile, task: Task, args) -> dict:
 
 
 def run_check(specs: list[tuple[str, SpecFile]], args) -> dict:
+    from . import oracle
+    from .checks import run_all
+
     grids = {m: oracle.settings(m, args.grid, args.tolerance) for m in oracle.DEFAULTS}
     rows = [
         (f"{path}: {task.command} {' '.join(task.names)}", bool(run_task(spec, task, args)["passed"]), "")

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
 Monomial = tuple  # tuple[tuple[atom, int], ...], sorted by atom sort key
 
 _BUILTIN_FUNCS = ("sin", "cos", "exp", "ln", "inv")
@@ -40,24 +38,27 @@ def _exact(value) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
-    """A plain coordinate symbol, identified by name."""
+class Sym(str):
+    """A plain coordinate symbol, identified by name.
 
-    name: str
-    # Every atom class computes its hash and sort key once, at construction,
-    # and keeps both out of equality.  A pickled atom is rebuilt from its
-    # public fields (``__reduce__``), so the cached string hash of one
-    # process never reaches another.
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    Coordinate atoms are ``str`` subclasses whose string value is a
+    canonical identity (here ``"\\x00" + name``; no parsed name holds a
+    control character), so they hash and compare as strings, in C.  That
+    value is never output: ``str``, ``repr`` and ``format`` give
+    :meth:`label`, and a pickled atom is rebuilt from its public fields.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name,)))
-        object.__setattr__(self, "_key", (0, self.name))
+    def __new__(cls, name: str):
+        self = str.__new__(cls, "\x00" + name)
+        d = self.__dict__
+        d["name"] = name
+        d["_key"] = (0, name)
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, *_):
+        raise AttributeError("atoms are immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return (Sym, (self.name,))
@@ -68,8 +69,13 @@ class Sym:
     def label(self) -> str:
         return self.name
 
-    def __repr__(self) -> str:
-        return self.name
+    def __str__(self) -> str:
+        return self.label()
+
+    __repr__ = __str__
+
+    def __format__(self, spec: str) -> str:
+        return format(self.label(), spec)
 
 
 @dataclass(frozen=True, slots=True)
@@ -431,11 +437,10 @@ def diff(e: Expr, c) -> Expr:
     formal derivative markers on undeclared function symbols.
     """
     out: dict = {}
-    ch = hash(c)
     chains: dict = {}  # function atom -> its derivative by c, for this call only
     for mono, coeff in e._terms.items():
         for i, (a, k) in enumerate(mono):
-            if a is c or (a._hash == ch and a == c):
+            if a == c:
                 m = _lowered(mono, i, k)
                 q = coeff if k == 1 else coeff * k
                 prev = out.get(m)
@@ -553,6 +558,8 @@ def evaluate(e: Expr, env: Mapping, funcs: Mapping[str, Callable] | None = None)
     dtype already match.  No ``env`` value is written to, and nothing
     outlives the call.
     """
+    import numpy as np  # only numeric evaluation needs numpy
+
     table: dict[str, Callable] = {
         "sin": np.sin,
         "cos": np.cos,
@@ -572,6 +579,8 @@ def evaluate(e: Expr, env: Mapping, funcs: Mapping[str, Callable] | None = None)
 
 
 def _sum_of_products(e: Expr, env: Mapping, table: dict, memo: dict):
+    import numpy as np
+
     total = 0.0
     for mono, coeff in e._terms.items():
         val = float(coeff)
@@ -607,6 +616,8 @@ def _fits(acc, v) -> bool:
     """Whether ``acc`` may take ``v`` in place with the floats of the
     out-of-place operator: two plain arrays of one shape and dtype.  Callers
     pass as ``acc`` only a product or sum that their call allocated."""
+    import numpy as np
+
     return type(acc) is np.ndarray and type(v) is np.ndarray and acc.shape == v.shape and acc.dtype == v.dtype
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from varjet import cli, oracle
+from varjet import checks, cli, oracle
 from varjet.cli import main
 from varjet.expr import Expr, Sym
 from varjet.jetcalc import NaturalityReport
@@ -188,7 +188,7 @@ ORACLE_2D = str(SPECS / "dirichlet2d.vspec")
 def test_oracle_flags_are_validated(capsys, monkeypatch, argv):
     # rejected before any grid is sampled
     monkeypatch.setattr(oracle, "sample_section", None)
-    monkeypatch.setattr(cli, "run_all", None)
+    monkeypatch.setattr(checks, "run_all", None)
     one_line_error(*run(capsys, *argv))
 
 

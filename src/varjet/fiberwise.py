@@ -11,22 +11,11 @@ differential with evaluation along prolonged sections.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle import BundleSpec, CoordinateError, FiberwiseCoord, jet_atom
-from .expr import Expr, FuncAtom, Sym, diff, substitute
-from .forms import Form, exterior_derivative, substitute_form
-from .jetcalc import Morphism, partial_step, section_bindings
+from .bundle import BundleSpec, FiberwiseCoord, jet_atom
+from .expr import Expr, Sym, diff, substitute
+from .forms import exterior_derivative, substitute_form
+from .jetcalc import Morphism, partial_step, section_bindings, validate_total_space
 from .multiindex import MultiIndex, graded_tower
-
-
-def _check_total_space(components: dict[str, Expr], bundle: BundleSpec, what: str) -> None:
-    allowed = {Sym(n) for n in bundle.base + bundle.fiber}
-    for name, e in components.items():
-        for a in e.atoms():
-            if isinstance(a, Sym) and a in allowed:
-                continue
-            if isinstance(a, FuncAtom):
-                continue
-            raise CoordinateError(f"{what} component {name!r} uses atom {a!r} outside the source coordinates")
 
 
 @dataclass(frozen=True)
@@ -41,7 +30,7 @@ class BaseMorphism:
     def __post_init__(self) -> None:
         if set(self.components) != set(self.target_fibers):
             raise ValueError("need exactly one component per target fiber name")
-        _check_total_space(self.components, self.source, "morphism")
+        validate_total_space(self.components, self.source, "morphism")
 
 
 @dataclass(frozen=True)
@@ -57,7 +46,7 @@ class SectionFamily:
             raise ValueError("section families need a 2-fibered bundle")
         if set(self.components) != set(self.bundle.second):
             raise ValueError("need exactly one component per top-level fiber name")
-        _check_total_space(self.components, self.bundle, "section")
+        validate_total_space(self.components, self.bundle, "section")
 
 
 def fiberwise_prolongation(f: BaseMorphism, r: int) -> dict[tuple[str, MultiIndex], Expr]:
@@ -174,7 +163,7 @@ def variation_along_section(s: SectionFamily, eta: dict[str, Expr]) -> dict[str,
     top-level coordinate dependence with the section itself."""
     top = {Sym(a): s.components[a] for a in s.bundle.second}
     reduced = {a: substitute(e, top) for a, e in eta.items()}
-    _check_total_space(reduced, s.bundle, "variation")
+    validate_total_space(reduced, s.bundle, "variation")
     return reduced
 
 

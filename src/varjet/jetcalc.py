@@ -79,14 +79,20 @@ class VerticalField:
     def __post_init__(self) -> None:
         if set(self.components) != set(self.bundle.fiber):
             raise ValueError("need exactly one component per fiber coordinate")
-        allowed = {Sym(n) for n in self.bundle.base + self.bundle.fiber}
-        for p, e in self.components.items():
-            for a in e.atoms():
-                if isinstance(a, Sym) and a in allowed:
-                    continue
-                if isinstance(a, FuncAtom):
-                    continue
-                raise CoordinateError(f"component for {p!r} uses non-total-space atom {a!r}")
+        validate_total_space(self.components, self.bundle, "vertical field")
+
+
+def validate_total_space(components: dict[str, Expr], bundle: BundleSpec, what: str) -> None:
+    """Check that every component depends only on the base and fiber
+    coordinates of ``bundle`` and on function atoms."""
+    allowed = {Sym(n) for n in bundle.base + bundle.fiber}
+    for name, e in components.items():
+        for a in e.atoms():
+            if isinstance(a, Sym) and a in allowed:
+                continue
+            if isinstance(a, FuncAtom):
+                continue
+            raise CoordinateError(f"{what} component {name!r} uses atom {a!r} outside the total space")
 
 
 def validate_expression(e: Expr, bundle: BundleSpec, r: int, s: int | None) -> None:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from .bundle import BundleSpec
 from .expr import Expr
 from .fiberwise import BaseMorphism, SectionFamily
-from .forms import Form
 from .jetcalc import Morphism, VerticalField
 from .parser import ParseContext, ParseError, parse_expression, parse_form_value
 from .variational import Lagrangian

@@ -76,8 +76,7 @@ def run_fed(task: Task, args, morphism) -> dict:
 
 
 def run_fjet(task: Task, args, f) -> dict:
-    k = task.options.get("k", 1)
-    r = task.options.get("r", 1)
+    k, r = task.options["k"], task.options["r"]
     table = fiberwise_jet(f, k, r)
     ordered = sorted(table.items(), key=lambda t: (t[0].target, t[0].beta.sort_key(), t[0].gamma.sort_key()))
     return {
@@ -91,7 +90,7 @@ def run_fjet(task: Task, args, f) -> dict:
 
 
 def run_natural(task: Task, args, morphism, field) -> dict:
-    k = task.options.get("k", 1)
+    k = task.options["k"]
     report = check_naturality(morphism, field, k)
     payload = {"command": "natural", "morphism": task.names[0], "field": task.names[1], "k": k, "passed": report.holds}
     if not report.holds:
@@ -117,7 +116,7 @@ def run_oracle(task: Task, args, lag) -> dict:
     m = lag.bundle.m
     if m not in oracle.DEFAULTS:
         raise ParseError("the numeric oracle supports base dimension 1 and 2", task.line or 1, 1)
-    grid, tolerance = oracle.settings(m, task.options.get("grid") if args.grid is None else args.grid, args.tolerance)
+    grid, tolerance = oracle.settings(m, task.options["grid"] if args.grid is None else args.grid, args.tolerance)
     rows = oracle.validate(lag, grid)
     return {
         "command": "oracle",

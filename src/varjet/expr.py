@@ -542,7 +542,7 @@ def _substitute_atom(a, bindings: Mapping) -> Expr:
     return Expr.atom(a)
 
 
-def evaluate(e: Expr, env: Mapping, funcs: Mapping[str, Callable] | None = None):
+def evaluate(e: Expr, env: Mapping):
     """Numerically evaluate with atom values from ``env``.
 
     Values may be floats or numpy arrays.  Formal function symbols cannot be
@@ -567,8 +567,6 @@ def evaluate(e: Expr, env: Mapping, funcs: Mapping[str, Callable] | None = None)
         "ln": np.log,
         "inv": lambda v: 1.0 / v,
     }
-    if funcs:
-        table.update(funcs)
     return _sum_of_products(e, env, table, {})
 
 

@@ -14,8 +14,10 @@ from fractions import Fraction
 from .bundle import BundleSpec, FiberwiseCoord, jet_atom
 from .expr import Expr, Sym, diff, substitute
 from .forms import exterior_derivative, substitute_form
-from .jetcalc import Morphism, partial_step, section_bindings, validate_total_space
-from .multiindex import MultiIndex, graded_tower
+from .jetcalc import (
+    Morphism, formal_exterior_differential, partial_step, section_bindings, total_derivative, validate_total_space
+)
+from .multiindex import MultiIndex, graded_tower, indices_up_to
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,14 @@ def fiberwise_jet(f: BaseMorphism, k: int, r: int) -> dict[FiberwiseCoord, Expr]
 
 def associated_jet_map(f: BaseMorphism) -> dict[tuple[str, MultiIndex], Expr]:
     """First-jet image of the morphism: the components together with their
-    chain-rule derivatives through the source fiber jets."""
+    total derivatives through the source fiber jets."""
     src = f.source
     zero = src.zero_index()
     out: dict[tuple[str, MultiIndex], Expr] = {}
     for a, comp in f.components.items():
         out[(a, zero)] = comp
         for name in src.base:
-            val = diff(comp, Sym(name))
-            for p in src.fiber:
-                val = val + diff(comp, Sym(p)) * Expr.atom(jet_atom(p, MultiIndex.unit(src.base, name)))
-            out[(a, zero.incremented(name))] = val
+            out[(a, zero.incremented(name))] = total_derivative(comp, name, src, 0, None)
     return out
 
 
@@ -128,19 +127,17 @@ def check_operator_order(
             return OperatorOrderReport(False, None, (coord,))
 
     hf, hg = associated_jet_map(f), associated_jet_map(g)
-    freeze = dict(point_bindings)
-    fiber_directions = [Sym(p) for p in src.fiber] + [
-        jet_atom(p, MultiIndex.unit(src.base, name)) for p in src.fiber for name in src.base
-    ]
+    # The frozen fiber's coordinates: order-zero and first-jet fiber atoms.
+    # Mixed partials commute, so one tower entry per multi-index suffices.
+    fiber_directions = tuple(jet_atom(p, alpha) for p in src.fiber for alpha in indices_up_to(src.base, 1))
+
+    def step(pair: tuple[Expr, Expr], d, _order: int) -> tuple[Expr, Expr]:
+        return diff(pair[0], d), diff(pair[1], d)
+
     for slot in sorted(hf, key=lambda t: (t[0], t[1].sort_key())):
-        stack = [(hf[slot], hg[slot], 0)]
-        while stack:
-            ef, eg, depth = stack.pop()
-            if substitute(ef, freeze) != substitute(eg, freeze):
-                return OperatorOrderReport(True, False, (slot, depth))
-            if depth < k:
-                for d in fiber_directions:
-                    stack.append((diff(ef, d), diff(eg, d), depth + 1))
+        for gamma, (ef, eg) in graded_tower(fiber_directions, k, (hf[slot], hg[slot]), step).items():
+            if substitute(ef, point_bindings) != substitute(eg, point_bindings):
+                return OperatorOrderReport(True, False, (slot, gamma.order))
     return OperatorOrderReport(True, True)
 
 
@@ -177,8 +174,6 @@ def check_functional_commutation(
     vertical argument; ``eta`` gives the variation components (top-level
     coordinates allowed, resolved through the section).
     """
-    from .jetcalc import formal_exterior_differential
-
     view = morphism.bundle
     tower = s.bundle
     if view != tower.over_fiber():

@@ -107,14 +107,9 @@ class Form:
         return (self.degree, self.names, dict(self.coeffs)) == (other.degree, other.names, dict(other.coeffs))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for key, c in self.items():
-            basis = "^".join(f"dx[{i}]" for i in key)
-            body = f"({c})"
-            parts.append(f"{body} {basis}".strip() if basis else body)
-        return " + ".join(parts)
+        from .render import form_text  # render imports this module
+
+        return form_text(self)
 
 
 def _check_compat(a: Form, b: Form) -> None:

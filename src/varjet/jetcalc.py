@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .bundle import BundleSpec, CoordinateError, JetCoord, enumerate_jet_coordinates, jet_atom
 from .expr import Expr, FuncAtom, Sym, diff, partials, substitute, sum_exprs
-from .forms import Form, wedge_basis_left
+from .forms import Form, substitute_form, wedge_basis_left
 from .multiindex import MultiIndex, graded_tower
 
 
@@ -167,11 +167,7 @@ def exterior_from_jet(family: dict[MultiIndex, Form]) -> Form:
     antisymmetrizes: sum over directions of dx^i wedged with the order-e_i
     coefficients.  Degrees beyond the range size collapse to zero.
     """
-    zero_entry = None
-    for beta in family:
-        if beta.order == 0:
-            zero_entry = beta
-            break
+    zero_entry = next((beta for beta in family if beta.order == 0), None)
     if zero_entry is None:
         raise ValueError("family lacks the order-zero entry")
     names = family[zero_entry].names
@@ -262,16 +258,13 @@ def check_naturality(phi: Morphism, eta: VerticalField, k: int) -> NaturalityRep
     of ``phi`` with the argument filled first.  Returns the first differing
     component on failure.
     """
-    if phi.s is None:
-        plugged = phi
-        lhs_family = holonomic_prolongation(phi, k)
-        lhs = {beta: form for beta, form in lhs_family.items()}
-    else:
-        bindings = vertical_bindings(eta, phi.s + k)
-        lhs_family = holonomic_prolongation(phi, k)
-        lhs = {beta: form.map_coeffs(lambda c: substitute(c, bindings)) for beta, form in lhs_family.items()}
-        plugged = plug_vertical(phi, eta)
-    rhs = holonomic_prolongation(plugged, k)
+    if k < 0:
+        raise ValueError("prolongation order must be non-negative")
+    if phi.s is None:  # nothing to feed: both sides are the same prolongation
+        return NaturalityReport(True)
+    bindings = vertical_bindings(eta, phi.s + k)
+    lhs = {beta: substitute_form(form, bindings) for beta, form in holonomic_prolongation(phi, k).items()}
+    rhs = holonomic_prolongation(plug_vertical(phi, eta), k)
     for beta in sorted(lhs, key=lambda b: b.sort_key()):
         left, right = lhs[beta], rhs[beta]
         keys = sorted(set(left.coeffs) | set(right.coeffs))

@@ -106,14 +106,14 @@ def sample_section(
     return GridSection(bundle, bounds, values)
 
 
-def bump(lo: float, hi: float, inset: float = 0.15) -> Callable[[np.ndarray], np.ndarray]:
-    """A C^2 bump supported strictly inside [lo, hi].
+def bump(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
+    """A C^2 bump supported strictly inside [lo, hi], 15 % in from each end.
 
     Cubic in the support indicator, so the function and its first two
     derivatives vanish at the support boundary.
     """
-    a = lo + inset * (hi - lo)
-    b = hi - inset * (hi - lo)
+    a = lo + 0.15 * (hi - lo)
+    b = hi - 0.15 * (hi - lo)
     scale = ((b - a) / 2) ** 6
 
     def fn(t: np.ndarray) -> np.ndarray:

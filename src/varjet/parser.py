@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .bundle import BundleSpec, jet_atom
 from .expr import Expr, Sym, cos, exp, function, ln, sin
-from .forms import Form, wedge_basis_left
+from .forms import Form
 from .multiindex import MultiIndex
 
 
@@ -311,13 +311,7 @@ class _Parser:
         degree = degrees.pop()
         total = Form.zero(degree, names)
         for coeff, basis in terms:
-            if basis is None:
-                total = total + Form.scalar(coeff, names)
-            else:
-                piece = Form.scalar(coeff, names)
-                for i in reversed(basis):
-                    piece = wedge_basis_left(i, piece)
-                total = total + piece
+            total = total + Form.basis(names, *(basis or ())).scale(coeff)
         return total
 
     def check_done(self) -> None:

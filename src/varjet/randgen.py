@@ -39,21 +39,19 @@ def rand_bundle(rng: Random, max_m: int = 3, max_n: int = 2, min_m: int = 1) -> 
     return BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n])
 
 
-def rand_tower(rng: Random, max_m: int = 2, max_n: int = 2, max_top: int = 2) -> BundleSpec:
-    m = rng.randint(1, max_m)
-    n = rng.randint(1, max_n)
-    top = rng.randint(1, max_top)
+def rand_tower(rng: Random) -> BundleSpec:
+    m, n, top = (rng.randint(1, 2) for _ in range(3))
     return BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n], _TOP_NAMES[:top])
 
 
-def rand_form(rng: Random, bundle: BundleSpec, degree: int, atoms, coeff_degree: int = 3) -> Form:
+def rand_form(rng: Random, bundle: BundleSpec, degree: int, atoms) -> Form:
     from itertools import combinations
 
     coeffs = {}
     keys = list(combinations(range(1, bundle.m + 1), degree))
     rng.shuffle(keys)
     for key in keys[: max(1, len(keys) - 1)]:
-        coeffs[key] = rand_poly(rng, atoms, degree=coeff_degree)
+        coeffs[key] = rand_poly(rng, atoms)
     return Form(degree, bundle.base, coeffs)
 
 
@@ -67,9 +65,9 @@ def rand_vertical_field(rng: Random, bundle: BundleSpec, degree: int = 3) -> Ver
     return VerticalField(bundle, {p: rand_poly(rng, atoms, degree=degree) for p in bundle.fiber})
 
 
-def rand_lagrangian(rng: Random, bundle: BundleSpec, degree: int, coeff_degree: int = 3) -> Lagrangian:
+def rand_lagrangian(rng: Random, bundle: BundleSpec, degree: int) -> Lagrangian:
     atoms = [Sym(nm) for nm in bundle.base] + enumerate_jet_coordinates(bundle, 1, None)
-    return Lagrangian(bundle, rand_form(rng, bundle, degree, atoms, coeff_degree))
+    return Lagrangian(bundle, rand_form(rng, bundle, degree, atoms))
 
 
 def rand_base_morphism(rng: Random, source: BundleSpec, targets: tuple[str, ...], degree: int = 3) -> BaseMorphism:

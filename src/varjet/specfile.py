@@ -15,7 +15,6 @@ from .jetcalc import Morphism, VerticalField
 from .parser import ParseContext, ParseError, parse_expression, parse_form_value
 from .variational import Lagrangian
 
-_DEFINE_KINDS = ("lagrangian", "morphism", "vertical", "section", "variation", "basemorphism")
 # Each command with the definition kinds its task names, in order.
 TASK_KINDS = {
     "el": ("lagrangian",),
@@ -26,6 +25,24 @@ TASK_KINDS = {
     "oracle": ("lagrangian",),
     "check": (),
 }
+# The options of each definition kind and each command, with the value each
+# takes when a line leaves it out (None: none); any other key is an error.
+OPTIONS = {
+    "lagrangian": {"over": "base"},
+    "morphism": {"over": "base", "r": None, "s": None},
+    "vertical": {"over": "base"},
+    "section": {},
+    "variation": {},
+    "basemorphism": {},
+    "el": {},
+    "fed": {},
+    "fjet": {"k": 1, "r": 1},
+    "natural": {"k": 1},
+    "commute": {},
+    "oracle": {"grid": None},
+    "check": {},
+}
+_DEFINE_KINDS = tuple(kind for kind in OPTIONS if kind not in TASK_KINDS)
 
 
 @dataclass(frozen=True)
@@ -40,7 +57,7 @@ class Definition:
 class Task:
     command: str
     names: tuple[str, ...]
-    options: dict[str, int]
+    options: dict[str, int | None]
     line: int
 
 
@@ -75,7 +92,7 @@ class SpecFile:
     def default_task(self, command: str) -> Task:
         """The task a file without a line for ``command`` runs: the only
         definition of each kind the command needs."""
-        return Task(command, tuple(self.only(kind).name for kind in TASK_KINDS[command]), {}, 0)
+        return Task(command, tuple(self.only(kind).name for kind in TASK_KINDS[command]), dict(OPTIONS[command]), 0)
 
 
 def _split_components(text: str, line: int) -> list[str]:
@@ -97,36 +114,39 @@ def _split_components(text: str, line: int) -> list[str]:
     return parts
 
 
-def _parse_options(words: list[str], line: int) -> tuple[list[str], dict]:
-    names, options = [], {}
+def _parse_options(words: list[str], kind: str, line: int) -> tuple[list[str], dict]:
+    """The names among ``words`` and the options of ``kind``, every option
+    the words leave out filled in from ``OPTIONS``."""
+    names, options = [], dict(OPTIONS[kind])
     for w in words:
         if "=" in w:
             key, _, value = w.partition("=")
             if not key or not value:
                 raise ParseError(f"malformed option {w!r}", line, 1)
+            if key not in OPTIONS[kind]:
+                accepted = ", ".join(OPTIONS[kind]) or "none"
+                raise ParseError(f"unknown option {key!r} for {kind} (accepted: {accepted})", line, 1)
             options[key] = value
         else:
             names.append(w)
     return names, options
 
 
-def _int_option(options: dict, key: str, default: int | None, line: int) -> int | None:
-    if key not in options:
-        return default
+def _int_option(value, key: str, line: int) -> int | None:
+    if value is None:
+        return None
     try:
-        return int(options[key])
+        return int(value)
     except ValueError:
         raise ParseError(f"option {key} must be an integer", line, 1) from None
 
 
 class _Loader:
-    def __init__(self, text: str, filename: str = "<spec>"):
-        self.filename = filename
+    def __init__(self, text: str):
         self.lines = text.splitlines()
         self.bundle: BundleSpec | None = None
         self.functions: dict[str, int] = {}
         self.raw_bundle: dict[str, tuple[str, int]] = {}
-        self.spec: SpecFile | None = None
 
     def load(self) -> SpecFile:
         section = None
@@ -152,7 +172,6 @@ class _Loader:
                 raise ParseError("content before any section header", lineno, 1)
         self._finish_bundle()
         spec = SpecFile(self.bundle, self.functions)
-        self.spec = spec
         for lineno, line in pending_defines:
             d = self._define_line(line, lineno)
             if d.name in spec.definitions:
@@ -194,7 +213,7 @@ class _Loader:
             raise ParseError(str(exc), self.raw_bundle["base"][1], 1) from None
 
     def _view(self, options: dict, lineno: int) -> BundleSpec:
-        over = options.get("over", "base")
+        over = options["over"]
         if over == "base":
             return self.bundle
         if over == "fiber":
@@ -219,7 +238,7 @@ class _Loader:
         if kind not in _DEFINE_KINDS:
             raise ParseError(f"unknown definition kind {kind!r}", lineno, 1)
         name = words[1]
-        _, options = _parse_options(words[2:], lineno)
+        _, options = _parse_options(words[2:], kind, lineno)
         stripped = value.strip()
         if not stripped:
             raise ParseError("definition has an empty value", lineno, len(head) + 4)
@@ -247,10 +266,10 @@ class _Loader:
 
     def _build_morphism(self, name: str, value: str, options: dict, lineno: int, col: int) -> Morphism:
         view = self._view(options, lineno)
-        r = _int_option(options, "r", None, lineno)
+        r = _int_option(options["r"], "r", lineno)
         if r is None:
             raise ParseError("morphisms need an explicit order r=<int>", lineno, 1)
-        s = _int_option(options, "s", None, lineno)
+        s = _int_option(options["s"], "s", lineno)
         ctx = ParseContext(view, r=r, s=s, functions=self.functions)
         form = parse_form_value(value, ctx, lineno, col)
         return Morphism(view, r, s, form)
@@ -289,17 +308,14 @@ class _Loader:
         command = words[0].lower()
         if command not in TASK_KINDS:
             raise ParseError(f"unknown task command {command!r}", lineno, 1)
-        names, raw_options = _parse_options(words[1:], lineno)
-        options = {}
-        for key, value in raw_options.items():
-            options[key] = _int_option({key: value}, key, None, lineno)
-        return Task(command, tuple(names), options, lineno)
+        names, options = _parse_options(words[1:], command, lineno)
+        return Task(command, tuple(names), {key: _int_option(v, key, lineno) for key, v in options.items()}, lineno)
 
 
-def load_specfile(text: str, filename: str = "<spec>") -> SpecFile:
-    return _Loader(text, filename).load()
+def load_specfile(text: str) -> SpecFile:
+    return _Loader(text).load()
 
 
 def load_specfile_path(path: str) -> SpecFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_specfile(fh.read(), path)
+        return load_specfile(fh.read())

@@ -12,11 +12,11 @@ l = m is exercised by the test suite).
 
 from dataclasses import dataclass
 
-from .bundle import BundleSpec, JetCoord, jet_atom
-from .expr import Expr, Sym, ZERO, diff, partials, sum_exprs
+from .bundle import BundleSpec, jet_atom
+from .expr import Expr, ZERO, partials, sum_exprs
 from .forms import Form, interior_product
 from .jetcalc import Morphism, total_derivative, validate_expression
-from .multiindex import MultiIndex, indices_up_to
+from .multiindex import indices_up_to
 
 
 class ProjectabilityError(RuntimeError):
@@ -79,28 +79,26 @@ class EulerLagrangeResult:
         return self.components.get((fiber, tuple(key)), ZERO)
 
 
-def _first_jet_atom(bundle: BundleSpec, p: str, direction: str) -> JetCoord:
-    return jet_atom(p, MultiIndex.unit(bundle.base, direction))
+def _first_order_pairs(bundle: BundleSpec) -> dict[str, list]:
+    """Per fiber, each order-<=1 atom paired with its vertical companion:
+    ``u`` and ``du`` first, then ``u_i`` and ``du_i`` in base order."""
+    return {
+        p: [(jet_atom(p, alpha), jet_atom(p, alpha, vertical=True)) for alpha in indices_up_to(bundle.base, 1)]
+        for p in bundle.fiber
+    }
 
 
 def vertical_differential(lag: Lagrangian) -> Morphism:
     """Fiber-derivative of the density: linear in the order-<=1 vertical
     coordinates with the matching partials as coefficients."""
-    bundle = lag.bundle
-    zero = bundle.zero_index()
-    pairs = []  # (order-<=1 atom, its vertical companion)
-    for p in bundle.fiber:
-        pairs.append((Sym(p), jet_atom(p, zero, vertical=True)))
-        for name in bundle.base:
-            a = _first_jet_atom(bundle, p, name)
-            pairs.append((a, jet_atom(p, a.alpha, vertical=True)))
+    pairs = [pair for fiber_pairs in _first_order_pairs(lag.bundle).values() for pair in fiber_pairs]
     wanted = {a for a, _ in pairs}
 
     def lift(c: Expr) -> Expr:
         parts = partials(c, wanted.__contains__)
         return sum_exprs(parts[a] * Expr.atom(va) for a, va in pairs if a in parts)
 
-    return Morphism(bundle, 1, 1, lag.value.map_coeffs(lift))
+    return Morphism(lag.bundle, 1, 1, lag.value.map_coeffs(lift))
 
 
 def momentum(lag: Lagrangian) -> Morphism:
@@ -109,17 +107,16 @@ def momentum(lag: Lagrangian) -> Morphism:
     if lag.degree < 1:
         raise ValueError("momentum needs form degree >= 1")
     bundle = lag.bundle
-    zero = bundle.zero_index()
+    pairs = _first_order_pairs(bundle)
+    first_jets = {a for fiber_pairs in pairs.values() for a, _ in fiber_pairs[1:]}
     value = Form.zero(lag.degree - 1, bundle.base)
     for key, c in lag.value.items():
         piece = Form(lag.degree, bundle.base, {key: Expr.const(1)})
-        for p in bundle.fiber:
-            x_p = Expr.atom(jet_atom(p, zero, vertical=True))
-            for i, name in enumerate(bundle.base, start=1):
-                coeff = diff(c, _first_jet_atom(bundle, p, name))
-                if coeff.is_zero:
-                    continue
-                value = value + interior_product(i, piece).scale(coeff * x_p)
+        parts = partials(c, first_jets.__contains__)
+        for (_, v0), *jets in pairs.values():
+            for i, (a, _) in enumerate(jets, start=1):
+                if a in parts:
+                    value = value + interior_product(i, piece).scale(parts[a] * Expr.atom(v0))
     return Morphism(bundle, 1, 0, value)
 
 
@@ -127,21 +124,19 @@ def momentum_divergence(lag: Lagrangian) -> Morphism:
     """The total-derivative image of the momentum, with each derivative
     direction paired against the contraction slot it fills."""
     bundle = lag.bundle
-    zero = bundle.zero_index()
+    pairs = _first_order_pairs(bundle)
+    first_jets = {a for fiber_pairs in pairs.values() for a, _ in fiber_pairs[1:]}
     value = Form.zero(lag.degree, bundle.base)
-    first_jets = {_first_jet_atom(bundle, p, name) for p in bundle.fiber for name in bundle.base}
     for key, c in lag.value.items():
         parts = partials(c, first_jets.__contains__)
-        for p in bundle.fiber:
-            x_p = Expr.atom(jet_atom(p, zero, vertical=True))
+        for (_, v0), *jets in pairs.values():
             summands = []
-            for name in bundle.base:
-                a = _first_jet_atom(bundle, p, name)
+            for name, (a, va) in zip(bundle.base, jets):
                 b = parts.get(a)
                 if b is None:
                     continue
-                summands.append(total_derivative(b, name, bundle, 1, None) * x_p)
-                summands.append(b * Expr.atom(jet_atom(p, a.alpha, vertical=True)))
+                summands.append(total_derivative(b, name, bundle, 1, None) * Expr.atom(v0))
+                summands.append(b * Expr.atom(va))
             acc = sum_exprs(summands)
             if not acc.is_zero:
                 value = value + Form(lag.degree, bundle.base, {key: acc})
@@ -158,31 +153,22 @@ def euler_lagrange(lag: Lagrangian) -> EulerLagrangeResult:
     internal invariant of the construction.
     """
     bundle = lag.bundle
-    zero = bundle.zero_index()
-    dv = vertical_differential(lag)
-    difference = dv.value - momentum_divergence(lag).value
+    pairs = _first_order_pairs(bundle)
+    verticals = [va for fiber_pairs in pairs.values() for _, va in fiber_pairs]
+    is_vertical = set(verticals).__contains__
+    difference = vertical_differential(lag).value - momentum_divergence(lag).value
 
     components: dict[tuple[str, tuple[int, ...]], Expr] = {}
     report: dict[tuple[str, str, tuple[int, ...]], Expr] = {}
-    verticals = {jet_atom(p, alpha, vertical=True) for p in bundle.fiber for alpha in indices_up_to(bundle.base, 1)}
-    keys = sorted(set(difference.coeffs) | set(lag.value.coeffs))
-    for key in keys:
+    for key in sorted(set(difference.coeffs) | set(lag.value.coeffs)):
         e = difference.coefficient(key)
-        parts = partials(e, verticals.__contains__)
-        for p in bundle.fiber:
-            components[(p, key)] = parts.get(jet_atom(p, zero, vertical=True), ZERO)
-            for name in bundle.base:
-                residual = parts.get(jet_atom(p, MultiIndex.unit(bundle.base, name), vertical=True), ZERO)
-                report[(p, name, key)] = residual
+        parts = partials(e, is_vertical)
+        for p, ((_, v0), *jets) in pairs.items():
+            components[(p, key)] = parts.get(v0, ZERO)
+            for name, (_, va) in zip(bundle.base, jets):
+                report[(p, name, key)] = parts.get(va, ZERO)
         # the difference must be linear homogeneous in the vertical block
-        summands = []
-        for p in bundle.fiber:
-            summands.append(components[(p, key)] * Expr.atom(jet_atom(p, zero, vertical=True)))
-            for name in bundle.base:
-                summands.append(
-                    report[(p, name, key)] * Expr.atom(jet_atom(p, MultiIndex.unit(bundle.base, name), vertical=True))
-                )
-        recomposed = sum_exprs(summands)
+        recomposed = sum_exprs(parts[va] * Expr.atom(va) for va in verticals if va in parts)
         if recomposed != e:
             raise ProjectabilityError({(key,): e - recomposed})
 

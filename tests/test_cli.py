@@ -290,3 +290,43 @@ def test_natural_witness_in_json(capsys, monkeypatch):
     payloads = json.loads(out)
     assert [p["passed"] for p in payloads] == [False, False]
     assert payloads[0]["witness"] == {"beta": "(1,0)", "basis": [1], "lhs": "u", "rhs": "2*u"}
+
+
+# -- a definition or task line takes only the options of its kind ------------------------
+
+TOWER = "[bundle]\nbase = x\nfiber = p\nsecond = z\n[define]\n"
+
+
+@pytest.mark.parametrize(
+    "command, body, key, accepted",
+    [
+        ("fjet", "basemorphism f = x*p^2\n[task]\nfjet f kk=2\n", "kk", "k, r"),
+        ("el", "lagrangian L bogus=7 = p_x^2 dx[1]\n", "bogus", "over"),
+        ("el", "lagrangian L = p_x^2 dx[1]\n[task]\nel L frob=3\n", "frob", "none"),
+        ("natural", "morphism phi r=0 s=0 t=1 = p*dp dx[1]\nvertical eta = p\n", "t", "over, r, s"),
+        ("commute", "morphism B over=fiber r=0 s=0 = z*dz\nsection s over=fiber = x\nvariation w = z\n", "over", "none"),
+        ("fjet", "basemorphism f r=9 = x*p^2\n", "r", "none"),
+        ("oracle", "lagrangian L = p_x^2 dx[1]\n[task]\noracle L k=3\n", "k", "grid"),
+    ],
+)
+def test_unknown_option_is_a_parse_error(tmp_path, capsys, command, body, key, accepted):
+    spec = tmp_path / "options.vspec"
+    spec.write_text(TOWER + body)
+    # the offending line is the last that names the key
+    lineno, line = [(i, line) for i, line in enumerate(spec.read_text().splitlines(), 1) if f" {key}=" in line][-1]
+    code, out, err = run(capsys, command, str(spec))
+    one_line_error(code, out, err)
+    kind = line.split()[0]  # the definition kind or the command
+    assert err == f"error: {lineno}:1: unknown option {key!r} for {kind} (accepted: {accepted})\n"
+
+
+def test_task_options_are_filled_in(tmp_path, capsys):
+    spec = tmp_path / "fjet.vspec"
+    spec.write_text(TOWER + "basemorphism f = x*p^2\n[task]\nfjet f\nfjet f k=0\nfjet f r=0 k=2\n")
+    code, out, _ = run(capsys, "fjet", str(spec), "--json")
+    assert code == 0
+    assert [(p["k"], p["r"]) for p in json.loads(out)] == [(1, 1), (0, 1), (2, 0)]
+    # with no fjet line the only base morphism runs at the defaults
+    spec.write_text(TOWER + "basemorphism f = x*p^2\n")
+    code, out, _ = run(capsys, "fjet", str(spec), "--json")
+    assert code == 0 and (json.loads(out)["k"], json.loads(out)["r"]) == (1, 1)

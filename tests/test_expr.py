@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from varjet.bundle import jet_atom
 from varjet.expr import (
     Expr,
     FuncAtom,
@@ -15,12 +16,21 @@ from varjet.expr import (
     ln,
     sin,
     substitute,
+    sum_exprs,
     sym,
 )
+from varjet.multiindex import MultiIndex
 
 x, y, u, v = sym("x"), sym("y"), sym("u"), sym("v")
 X, Y, U, V = Sym("x"), Sym("y"), Sym("u"), Sym("v")
 ATOMS = [X, Y, U, V]
+# positional and vertical jet atoms over the base (x, y)
+JET_ATOMS = [
+    jet_atom("u", MultiIndex(("x", "y"), (1, 0))),
+    jet_atom("u", MultiIndex(("x", "y"), (1, 1))),
+    jet_atom("v", MultiIndex(("x", "y"), (0, 1)), vertical=True),
+    jet_atom("u", MultiIndex(("x", "y"), (0, 0)), vertical=True),
+]
 
 
 @st.composite
@@ -154,7 +164,39 @@ def test_zero_decision_on_polynomials(e):
     assert e - e == Expr.const(0)
 
 
-@given(smooth_exprs(), st.sampled_from(ATOMS), st.sampled_from(ATOMS))
+@st.composite
+def wide_exprs(draw):
+    """Polynomials over coordinate and jet atoms plus elementary, reciprocal
+    and formal function factors of such polynomials, nested up to twice."""
+    atoms = st.sampled_from(ATOMS + JET_ATOMS)
+
+    def poly(max_terms: int) -> Expr:
+        terms = []
+        for _ in range(draw(st.integers(1, max_terms))):
+            term = Expr.const(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))))
+            for a in draw(st.lists(atoms, max_size=2)):
+                term = term * Expr.atom(a)
+            terms.append(term)
+        return sum_exprs(terms)
+
+    def factor(depth: int) -> Expr:
+        arg = poly(2) + Expr.atom(draw(atoms))
+        if depth and draw(st.booleans()):
+            arg = arg * factor(depth - 1)
+        kind = draw(st.sampled_from(["sin", "cos", "exp", "ln", "inv", "formal"]))
+        if kind == "inv":  # a^2 + 1 keeps the multi-term reciprocal nonzero
+            return 1 / (arg + Expr.atom(draw(atoms)) ** 2 + 1)
+        if kind == "formal":
+            return function(draw(st.sampled_from(["F", "G"])), arg, Expr.atom(draw(atoms)))
+        return {"sin": sin, "cos": cos, "exp": exp, "ln": ln}[kind](arg)
+
+    e = poly(4)
+    for _ in range(draw(st.integers(0, 3))):
+        e = e + poly(2) * factor(1)
+    return e
+
+
+@given(wide_exprs(), st.sampled_from(ATOMS + JET_ATOMS), st.sampled_from(ATOMS + JET_ATOMS))
 def test_mixed_partials_commute(e, a, b):
     assert diff(diff(e, a), b) == diff(diff(e, b), a)
 

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from varjet.expr import Expr, Sym, sym
 from varjet.forms import DegreeError, Form, RangeError, interior_product, wedge
+from varjet.render import form_text
 
 NAMES = ("x", "y", "z")
 x, u = sym("x"), sym("u")
@@ -99,3 +100,14 @@ def test_double_contraction_vanishes(j, a):
     if a.degree < 2:
         return
     assert interior_product(j, interior_product(j, a)).is_zero
+
+
+@given(forms())
+def test_str_is_the_cli_rendering(a):
+    assert str(a) == form_text(a)
+
+
+def test_str_brackets_only_sums():
+    f = basis(1).scale(u) + basis(2).scale(u + x) + basis(3).scale(-u)
+    assert str(f) == "u dx[1] + (u + x) dx[2] + -u dx[3]"
+    assert str(Form.zero(1, NAMES)) == "0" and str(Form.scalar(u + x, NAMES)) == "u + x"

@@ -136,9 +136,9 @@ def test_memo_dies_with_its_section():
 def counting(monkeypatch) -> list:
     calls = []
 
-    def spy(e, env, funcs=None):
+    def spy(e, env):
         calls.append(e)
-        return evaluate(e, env, funcs)
+        return evaluate(e, env)
 
     monkeypatch.setattr(oracle, "evaluate", spy)
     return calls

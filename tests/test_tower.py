@@ -2,11 +2,13 @@
 
 The references below are the earlier builders: the "peel the first nonzero
 exponent" loop of ``holonomic_prolongation``, ``flow_prolongation`` and
-``section_bindings``, and the from-scratch iterated partial of the fiberwise
-jets.  The jet-calculus towers peel in the same order as before, so they
-must agree term for term and in term order (numeric evaluation sums in that
-order).  The fiberwise entries now take their partials in another order, so
-they must agree structurally, with the same dict key order.
+``section_bindings``, the from-scratch iterated partial of the fiberwise
+jets, the hand-written chain rule of ``associated_jet_map`` and the
+depth-first walk of ``check_operator_order`` over every ordered sequence of
+fiber directions.  The jet-calculus towers peel in the same order as before,
+so they must agree term for term and in term order (numeric evaluation sums
+in that order).  The fiberwise entries now take their partials in another
+order, so they must agree structurally, with the same dict key order.
 """
 
 from fractions import Fraction
@@ -14,10 +16,12 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from varjet.bundle import BundleSpec, FiberwiseCoord, jet_atom
-from varjet.expr import Expr, Sym, diff, function, sin, sum_exprs
+from varjet.expr import Expr, Sym, diff, function, sin, substitute, sum_exprs
 from varjet.fiberwise import (
     BaseMorphism,
     SectionFamily,
+    associated_jet_map,
+    check_operator_order,
     fiberwise_jet,
     fiberwise_prolongation,
     section_jet_reindex,
@@ -36,6 +40,7 @@ from varjet.multiindex import MultiIndex, graded_tower, indices_up_to
 BUNDLE = BundleSpec(("x", "y"), ("u", "v"))
 TOWER = BundleSpec(("x",), ("p", "q"), ("z", "w"))
 SOURCE = BundleSpec(("x",), ("p", "q"))
+PLANE = BundleSpec(("x", "y"), ("p",))
 
 
 # -- the earlier builders -------------------------------------------------------
@@ -135,6 +140,43 @@ def ref_section_jet_reindex(s: SectionFamily, r: int) -> dict:
             for beta in indices_up_to(bundle.fiber, r - alpha.order):
                 out[(a, alpha, beta)] = ref_iterated_partial(base_jet, beta)
     return out
+
+
+def ref_associated_jet_map(f: BaseMorphism) -> dict:
+    src = f.source
+    zero = src.zero_index()
+    out = {}
+    for a, comp in f.components.items():
+        out[(a, zero)] = comp
+        for name in src.base:
+            val = diff(comp, Sym(name))
+            for p in src.fiber:
+                val = val + diff(comp, Sym(p)) * Expr.atom(jet_atom(p, MultiIndex.unit(src.base, name)))
+            out[(a, zero.incremented(name))] = val
+    return out
+
+
+def ref_check_operator_order(f: BaseMorphism, g: BaseMorphism, k: int, point: dict) -> tuple:
+    """``(precondition_met, conclusion_holds)`` of the depth-first walk."""
+    src = f.source
+    freeze = {Sym(n): Expr.const(point[n]) for n in src.base + src.fiber}
+    jf, jg = ref_fiberwise_jet(f, k, 1), ref_fiberwise_jet(g, k, 1)
+    if any(substitute(jf[coord], freeze) != substitute(jg[coord], freeze) for coord in jf):
+        return False, None
+    hf, hg = ref_associated_jet_map(f), ref_associated_jet_map(g)
+    fiber_directions = [Sym(p) for p in src.fiber] + [
+        jet_atom(p, MultiIndex.unit(src.base, name)) for p in src.fiber for name in src.base
+    ]
+    for slot in sorted(hf, key=lambda t: (t[0], t[1].sort_key())):
+        stack = [(hf[slot], hg[slot], 0)]
+        while stack:
+            ef, eg, depth = stack.pop()
+            if substitute(ef, freeze) != substitute(eg, freeze):
+                return True, False
+            if depth < k:
+                for d in fiber_directions:
+                    stack.append((diff(ef, d), diff(eg, d), depth + 1))
+    return True, True
 
 
 # -- drawn expressions with sin, inv and formal functions -------------------------
@@ -256,3 +298,29 @@ def test_fiberwise_jet_matches_iterated_partials(data, k, r):
 def test_section_jet_reindex_matches_iterated_partials(data, r):
     s = SectionFamily(TOWER, {a: data.draw(exprs(total_space_atoms(TOWER))) for a in TOWER.second})
     structurally_same(section_jet_reindex(s, r), ref_section_jet_reindex(s, r))
+
+
+@given(st.data(), st.sampled_from([SOURCE, PLANE, BundleSpec(("x",), ("q", "p"))]))
+def test_associated_jet_map_matches_chain_rule(data, source):
+    f = BaseMorphism(source, ("z", "w"), {a: data.draw(exprs(total_space_atoms(source))) for a in ("z", "w")})
+    new, ref = associated_jet_map(f), ref_associated_jet_map(f)
+    if list(source.fiber) == sorted(source.fiber):
+        same_entries(new, ref)
+    else:  # the total derivative adds the fiber partials in atom order, not declaration order
+        structurally_same(new, ref)
+
+
+@given(st.data(), st.sampled_from([SOURCE, PLANE]), st.integers(0, 2), st.booleans())
+def test_check_operator_order_matches_depth_first_walk(data, source, k, matched):
+    atoms = total_space_atoms(source)
+    point = {a.name: Fraction(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 2))) for a in atoms}
+    f = BaseMorphism(source, ("z",), {"z": data.draw(exprs(atoms))})
+    h = data.draw(exprs(atoms))
+    if matched:  # k + 2 factors vanishing at the point: the fiberwise (k, 1)-jets agree there
+        for a in data.draw(st.lists(st.sampled_from(atoms), min_size=k + 2, max_size=k + 2)):
+            h = h * (Expr.atom(a) - point[a.name])
+    g = BaseMorphism(source, ("z",), {"z": f.components["z"] + h})
+    report = check_operator_order(f, g, k, point)
+    assert (report.precondition_met, report.conclusion_holds) == ref_check_operator_order(f, g, k, point)
+    if matched:
+        assert report.holds

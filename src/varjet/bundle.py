@@ -122,12 +122,6 @@ class BundleSpec:
             raise ValueError("not a 2-fibered bundle")
         return BundleSpec(self.base + self.fiber, self.second)
 
-    def over_base(self) -> "BundleSpec":
-        """Top level fibered directly over the original base."""
-        if not self.second:
-            raise ValueError("not a 2-fibered bundle")
-        return BundleSpec(self.base, self.fiber + self.second)
-
     # -- atoms ---------------------------------------------------------------
 
     def coord(self, name: str) -> Expr:

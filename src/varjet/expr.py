@@ -248,15 +248,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_const(self) -> bool:
-        return all(m == () for m in self._terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_const:
-            raise ValueError(f"{self} is not constant")
-        return Fraction(self._terms.get((), 0))
-
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Term list in the canonical graded-lexicographic order."""
         return sorted(self._terms.items(), key=lambda t: _mono_key(t[0]))

@@ -61,10 +61,6 @@ class Form:
         return cls(degree, names, {})
 
     @classmethod
-    def scalar(cls, value: Expr, names: tuple[str, ...]) -> "Form":
-        return cls(0, names, {(): value})
-
-    @classmethod
     def basis(cls, names: tuple[str, ...], *indices: int) -> "Form":
         """The wedge monomial dx^{i1} ^ ... ^ dx^{il} (1-based, any order)."""
         form = cls(0, names, {(): Expr.const(1)})

@@ -52,21 +52,6 @@ class Morphism:
     def degree(self) -> int:
         return self.value.degree
 
-    def tightened(self) -> "Morphism":
-        """Recompute the minimal declared orders from the atoms actually used."""
-        r_min, s_min = 0, None
-        for _, c in self.value.items():
-            for a in c.atoms():
-                if isinstance(a, JetCoord):
-                    if a.vertical:
-                        s_min = a.alpha.order if s_min is None else max(s_min, a.alpha.order)
-                    else:
-                        r_min = max(r_min, a.alpha.order)
-        if self.s is not None:
-            s_min = 0 if s_min is None else s_min
-            r_min = max(r_min, s_min)
-        return Morphism(self.bundle, r_min, s_min, self.value)
-
 
 @dataclass(frozen=True)
 class VerticalField:

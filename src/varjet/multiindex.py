@@ -46,25 +46,9 @@ class MultiIndex:
     def unit(cls, names: tuple[str, ...], name: str) -> "MultiIndex":
         return cls.zero(names).incremented(name)
 
-    @classmethod
-    def from_positions(cls, names: tuple[str, ...], positions: tuple[int, ...]) -> "MultiIndex":
-        """Build from 1-based coordinate positions, one increment each."""
-        exps = [0] * len(names)
-        for pos in positions:
-            if not 1 <= pos <= len(names):
-                raise RangeMismatchError(f"position {pos} outside range of size {len(names)}")
-            exps[pos - 1] += 1
-        return cls(names, tuple(exps))
-
     @property
     def order(self) -> int:
         return self._key[0]
-
-    def exponent(self, name: str) -> int:
-        try:
-            return self.exponents[self.names.index(name)]
-        except ValueError:
-            raise RangeMismatchError(f"{name!r} not in range {self.names}") from None
 
     def incremented(self, name: str) -> "MultiIndex":
         try:
@@ -74,13 +58,6 @@ class MultiIndex:
         exps = list(self.exponents)
         exps[i] += 1
         return MultiIndex(self.names, tuple(exps))
-
-    def positions(self) -> tuple[int, ...]:
-        """Expanded 1-based positions, e.g. exponents (2, 1) -> (1, 1, 2)."""
-        out: list[int] = []
-        for i, e in enumerate(self.exponents):
-            out.extend([i + 1] * e)
-        return tuple(out)
 
     def suffix_names(self) -> tuple[str, ...]:
         out: list[str] = []

@@ -11,7 +11,7 @@ symbols, and coordinate references resolved against a bundle view:
 
 Form values are sums of ``<expr> dx[i,...]`` terms with 1-based basis axis
 indices (strictly any order, signs resolved), or a bare expression for a
-0-form.  Unknown identifiers, jets beyond the declared orders and nesting
+0-form.  Component lists are comma-separated expressions, one per name.  Unknown identifiers, jets beyond the declared orders and nesting
 deeper than :data:`MAX_NESTING` are rejected with position-annotated
 diagnostics.
 """
@@ -34,6 +34,7 @@ MAX_NESTING = 100
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
+        self.message = message
         self.line = line
         self.col = col
         super().__init__(f"{line}:{col}: {message}")
@@ -336,3 +337,18 @@ def parse_form_value(text: str, context: ParseContext, line: int = 1, col: int =
     f = p.parse_form()
     p.check_done()
     return f
+
+
+def parse_components(text: str, context: ParseContext, names: tuple[str, ...], line: int = 1, col: int = 1) -> dict[str, Expr]:
+    """Parse one comma-separated expression per name in ``names``.  Commas
+    inside calls and ``[..]`` belong to them, and every error carries the
+    column of the offending token."""
+    p = _Parser(tokenize(text, line, col), context)
+    comps = [p.parse_expr()]
+    while p.peek().text == ",":
+        p.next()
+        comps.append(p.parse_expr())
+    p.check_done()
+    if len(comps) != len(names):
+        p.fail(f"expected {len(names)} component(s) for {names}, got {len(comps)}", p.tokens[0])
+    return dict(zip(names, comps))

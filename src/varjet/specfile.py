@@ -9,10 +9,9 @@ in the repository README; parse failures carry file line/column positions.
 from dataclasses import dataclass, field
 
 from .bundle import BundleSpec
-from .expr import Expr
 from .fiberwise import BaseMorphism, SectionFamily
 from .jetcalc import Morphism, VerticalField
-from .parser import ParseContext, ParseError, parse_expression, parse_form_value
+from .parser import ParseContext, ParseError, parse_components, parse_form_value
 from .variational import Lagrangian
 
 # Each command with the definition kinds its task names, in order.
@@ -87,31 +86,15 @@ class SpecFile:
         kinds = TASK_KINDS[task.command]
         if len(task.names) != len(kinds):
             raise ParseError(f"task {task.command!r} needs {len(kinds)} name(s), got {len(task.names)}", task.line or 1, 1)
-        return [self.find(kind, name).obj for kind, name in zip(kinds, task.names)]
+        try:
+            return [self.find(kind, name).obj for kind, name in zip(kinds, task.names)]
+        except ParseError as exc:
+            raise ParseError(exc.message, task.line or 1, 1) from None
 
     def default_task(self, command: str) -> Task:
         """The task a file without a line for ``command`` runs: the only
         definition of each kind the command needs."""
         return Task(command, tuple(self.only(kind).name for kind in TASK_KINDS[command]), dict(OPTIONS[command]), 0)
-
-
-def _split_components(text: str, line: int) -> list[str]:
-    """Split on top-level commas (commas inside brackets stay put)."""
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    if any(not p.strip() for p in parts):
-        raise ParseError("empty component in list", line, 1)
-    return parts
 
 
 def _parse_options(words: list[str], kind: str, line: int) -> tuple[list[str], dict]:
@@ -141,88 +124,88 @@ def _int_option(value, key: str, line: int) -> int | None:
         raise ParseError(f"option {key} must be an integer", line, 1) from None
 
 
-class _Loader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.bundle: BundleSpec | None = None
-        self.functions: dict[str, int] = {}
-        self.raw_bundle: dict[str, tuple[str, int]] = {}
+def _build(kind: str, value: str, options: dict, bundle: BundleSpec, functions: dict[str, int], line: int, col: int):
+    """The object a ``kind`` definition declares, from its value text (which
+    starts at ``col``) and its filled-in options."""
+    if kind in ("section", "variation", "basemorphism") and not bundle.second:
+        raise ParseError(f"a {kind} needs a 2-fibered bundle (declare 'second')", line, 1)
+    over = options.get("over", "fiber")
+    if kind == "basemorphism":
+        view = BundleSpec(bundle.base, bundle.fiber)
+    elif over == "base":
+        view = bundle
+    elif over != "fiber":
+        raise ParseError(f"unknown view {over!r} (use base or fiber)", line, 1)
+    elif not bundle.second:
+        raise ParseError("over=fiber needs a 2-fibered bundle (declare 'second')", line, 1)
+    else:
+        view = bundle.over_fiber()
+    r, s = (1 if kind == "lagrangian" else 0), None
+    if kind == "morphism":
+        r = _int_option(options["r"], "r", line)
+        if r is None:
+            raise ParseError("morphisms need an explicit order r=<int>", line, 1)
+        s = _int_option(options["s"], "s", line)
+    ctx = ParseContext(view, r=r, s=s, functions=functions)
+    if kind == "lagrangian":
+        return Lagrangian(view, parse_form_value(value, ctx, line, col))
+    if kind == "morphism":
+        return Morphism(view, r, s, parse_form_value(value, ctx, line, col))
+    comps = parse_components(value, ctx, view.fiber if kind == "vertical" else bundle.second, line, col)
+    if kind == "vertical":
+        return VerticalField(view, comps)
+    if kind == "section":
+        return SectionFamily(bundle, comps)
+    if kind == "basemorphism":
+        return BaseMorphism(view, bundle.second, comps)
+    return comps
 
-    def load(self) -> SpecFile:
-        section = None
-        pending_defines: list[tuple[int, str]] = []
-        pending_tasks: list[tuple[int, str]] = []
-        for lineno, raw in enumerate(self.lines, start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            stripped = line.strip()
-            if stripped.startswith("[") and stripped.endswith("]"):
-                section = stripped[1:-1].strip().lower()
-                if section not in ("bundle", "define", "task"):
-                    raise ParseError(f"unknown section [{section}]", lineno, 1)
-                continue
-            if section == "bundle":
-                self._bundle_line(stripped, lineno)
-            elif section == "define":
-                pending_defines.append((lineno, line))
-            elif section == "task":
-                pending_tasks.append((lineno, line))
+
+def load_specfile(text: str) -> SpecFile:
+    """Read a declaration file.  The bundle is built before any definition or
+    task line is read, and definitions before tasks."""
+    section, coords, functions, defines, tasks = None, {}, {}, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("[") and stripped.endswith("]"):
+            section = stripped[1:-1].strip().lower()
+            if section not in ("bundle", "define", "task"):
+                raise ParseError(f"unknown section [{section}]", lineno, 1)
+        elif section == "bundle":
+            key, sep, value = stripped.partition("=")
+            if not sep:
+                raise ParseError("bundle entries use 'key = value'", lineno, 1)
+            key = key.strip().lower()
+            if key in ("base", "fiber", "second"):
+                coords[key] = (tuple(value.split()), lineno)
+            elif key == "functions":
+                for item in value.split():
+                    fname, sep, arity = item.partition("/")
+                    if not sep:
+                        raise ParseError(f"function declarations look like name/arity, got {item!r}", lineno, 1)
+                    try:
+                        functions[fname] = int(arity)
+                    except ValueError:
+                        raise ParseError(f"bad arity in {item!r}", lineno, 1) from None
             else:
-                raise ParseError("content before any section header", lineno, 1)
-        self._finish_bundle()
-        spec = SpecFile(self.bundle, self.functions)
-        for lineno, line in pending_defines:
-            d = self._define_line(line, lineno)
-            if d.name in spec.definitions:
-                raise ParseError(f"duplicate definition {d.name!r}", lineno, 1)
-            spec.definitions[d.name] = d
-        for lineno, line in pending_tasks:
-            spec.tasks.append(self._task_line(line, lineno))
-        return spec
-
-    def _bundle_line(self, line: str, lineno: int) -> None:
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError("bundle entries use 'key = value'", lineno, 1)
-        key = key.strip().lower()
-        value = value.strip()
-        if key in ("base", "fiber", "second"):
-            self.raw_bundle[key] = (value, lineno)
-        elif key == "functions":
-            for item in value.split():
-                name, sep2, arity = item.partition("/")
-                if not sep2:
-                    raise ParseError(f"function declarations look like name/arity, got {item!r}", lineno, 1)
-                try:
-                    self.functions[name] = int(arity)
-                except ValueError:
-                    raise ParseError(f"bad arity in {item!r}", lineno, 1) from None
+                raise ParseError(f"unknown bundle key {key!r}", lineno, 1)
+        elif section == "define":
+            defines.append((lineno, line))
+        elif section == "task":
+            tasks.append((lineno, line))
         else:
-            raise ParseError(f"unknown bundle key {key!r}", lineno, 1)
-
-    def _finish_bundle(self) -> None:
-        if "base" not in self.raw_bundle or "fiber" not in self.raw_bundle:
-            raise ParseError("bundle section must declare base and fiber coordinates", 1, 1)
-        base = tuple(self.raw_bundle["base"][0].split())
-        fiber = tuple(self.raw_bundle["fiber"][0].split())
-        second = tuple(self.raw_bundle.get("second", ("", 0))[0].split())
-        try:
-            self.bundle = BundleSpec(base, fiber, second)
-        except ValueError as exc:
-            raise ParseError(str(exc), self.raw_bundle["base"][1], 1) from None
-
-    def _view(self, options: dict, lineno: int) -> BundleSpec:
-        over = options["over"]
-        if over == "base":
-            return self.bundle
-        if over == "fiber":
-            if not self.bundle.second:
-                raise ParseError("over=fiber needs a 2-fibered bundle (declare 'second')", lineno, 1)
-            return self.bundle.over_fiber()
-        raise ParseError(f"unknown view {over!r} (use base or fiber)", lineno, 1)
-
-    def _define_line(self, line: str, lineno: int) -> Definition:
+            raise ParseError("content before any section header", lineno, 1)
+    if "base" not in coords or "fiber" not in coords:
+        raise ParseError("bundle section must declare base and fiber coordinates", 1, 1)
+    try:
+        bundle = BundleSpec(coords["base"][0], coords["fiber"][0], coords.get("second", ((), 0))[0])
+    except ValueError as exc:
+        raise ParseError(str(exc), coords["base"][1], 1) from None
+    spec = SpecFile(bundle, functions)
+    for lineno, line in defines:
         # options glue their '=' (r=1); the value separator is a spaced '='
         head, sep, value = line.partition(" = ")
         if not sep:
@@ -234,86 +217,27 @@ class _Loader:
         words = head.split()
         if len(words) < 2:
             raise ParseError("definitions need a kind and a name", lineno, 1)
-        kind = words[0].lower()
+        kind, name = words[0].lower(), words[1]
         if kind not in _DEFINE_KINDS:
             raise ParseError(f"unknown definition kind {kind!r}", lineno, 1)
-        name = words[1]
-        _, options = _parse_options(words[2:], kind, lineno)
-        stripped = value.strip()
-        if not stripped:
-            raise ParseError("definition has an empty value", lineno, len(head) + 4)
-        col = line.index(stripped, len(head) + 3) + 1
-        builder = getattr(self, f"_build_{kind}")
-        obj = builder(name, stripped, options, lineno, col)
-        return Definition(kind, name, obj, lineno)
-
-    def _components(self, value: str, ctx: ParseContext, names: tuple[str, ...], lineno: int, col: int) -> dict[str, Expr]:
-        parts = _split_components(value, lineno)
-        if len(parts) != len(names):
-            raise ParseError(f"expected {len(names)} component(s) for {names}, got {len(parts)}", lineno, col)
-        out = {}
-        offset = col
-        for target, part in zip(names, parts):
-            out[target] = parse_expression(part, ctx, lineno, offset)
-            offset += len(part) + 1
-        return out
-
-    def _build_lagrangian(self, name: str, value: str, options: dict, lineno: int, col: int) -> Lagrangian:
-        view = self._view(options, lineno)
-        ctx = ParseContext(view, r=1, s=None, functions=self.functions)
-        form = parse_form_value(value, ctx, lineno, col)
-        return Lagrangian(view, form)
-
-    def _build_morphism(self, name: str, value: str, options: dict, lineno: int, col: int) -> Morphism:
-        view = self._view(options, lineno)
-        r = _int_option(options["r"], "r", lineno)
-        if r is None:
-            raise ParseError("morphisms need an explicit order r=<int>", lineno, 1)
-        s = _int_option(options["s"], "s", lineno)
-        ctx = ParseContext(view, r=r, s=s, functions=self.functions)
-        form = parse_form_value(value, ctx, lineno, col)
-        return Morphism(view, r, s, form)
-
-    def _build_vertical(self, name: str, value: str, options: dict, lineno: int, col: int) -> VerticalField:
-        view = self._view(options, lineno)
-        ctx = ParseContext(view, r=0, s=None, functions=self.functions)
-        comps = self._components(value, ctx, view.fiber, lineno, col)
-        return VerticalField(view, comps)
-
-    def _build_section(self, name: str, value: str, options: dict, lineno: int, col: int) -> SectionFamily:
-        if not self.bundle.second:
-            raise ParseError("sections need a 2-fibered bundle (declare 'second')", lineno, 1)
-        view = self.bundle.over_fiber()
-        ctx = ParseContext(view, r=0, s=None, functions=self.functions)
-        comps = self._components(value, ctx, self.bundle.second, lineno, col)
-        return SectionFamily(self.bundle, comps)
-
-    def _build_variation(self, name: str, value: str, options: dict, lineno: int, col: int) -> dict[str, Expr]:
-        if not self.bundle.second:
-            raise ParseError("variations need a 2-fibered bundle (declare 'second')", lineno, 1)
-        view = self.bundle.over_fiber()
-        ctx = ParseContext(view, r=0, s=None, functions=self.functions)
-        return self._components(value, ctx, self.bundle.second, lineno, col)
-
-    def _build_basemorphism(self, name: str, value: str, options: dict, lineno: int, col: int) -> BaseMorphism:
-        if not self.bundle.second:
-            raise ParseError("base-preserving morphisms target the 'second' coordinates; declare them", lineno, 1)
-        source = BundleSpec(self.bundle.base, self.bundle.fiber)
-        ctx = ParseContext(source, r=0, s=None, functions=self.functions)
-        comps = self._components(value, ctx, self.bundle.second, lineno, col)
-        return BaseMorphism(source, self.bundle.second, comps)
-
-    def _task_line(self, line: str, lineno: int) -> Task:
-        words = line.split()
-        command = words[0].lower()
+        extra, options = _parse_options(words[2:], kind, lineno)
+        if extra:
+            raise ParseError(f"a definition takes one name, found extra word(s) {' '.join(extra)!r}", lineno, 1)
+        col = len(head) + 4  # where the value starts
+        if not value.strip():
+            raise ParseError("definition has an empty value", lineno, col)
+        obj = _build(kind, value, options, bundle, functions, lineno, col)
+        if name in spec.definitions:
+            raise ParseError(f"duplicate definition {name!r}", lineno, 1)
+        spec.definitions[name] = Definition(kind, name, obj, lineno)
+    for lineno, line in tasks:
+        command, *words = line.split()
+        command = command.lower()
         if command not in TASK_KINDS:
             raise ParseError(f"unknown task command {command!r}", lineno, 1)
-        names, options = _parse_options(words[1:], command, lineno)
-        return Task(command, tuple(names), {key: _int_option(v, key, lineno) for key, v in options.items()}, lineno)
-
-
-def load_specfile(text: str) -> SpecFile:
-    return _Loader(text).load()
+        names, options = _parse_options(words, command, lineno)
+        spec.tasks.append(Task(command, tuple(names), {key: _int_option(v, key, lineno) for key, v in options.items()}, lineno))
+    return spec
 
 
 def load_specfile_path(path: str) -> SpecFile:

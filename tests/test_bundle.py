@@ -80,8 +80,6 @@ def test_two_fibered_views():
     tower = BundleSpec(("x",), ("p",), ("z",))
     over_fiber = tower.over_fiber()
     assert over_fiber.base == ("x", "p") and over_fiber.fiber == ("z",)
-    over_base = tower.over_base()
-    assert over_base.base == ("x",) and over_base.fiber == ("p", "z")
     with pytest.raises(ValueError):
         BundleSpec(("x",), ("u",)).over_fiber()
 

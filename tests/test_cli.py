@@ -330,3 +330,28 @@ def test_task_options_are_filled_in(tmp_path, capsys):
     spec.write_text(TOWER + "basemorphism f = x*p^2\n")
     code, out, _ = run(capsys, "fjet", str(spec), "--json")
     assert code == 0 and (json.loads(out)["k"], json.loads(out)["r"]) == (1, 1)
+
+
+# -- a definition line takes one name; a task's name errors point at the task ------------
+
+LINE = "[bundle]\nbase = x\nfiber = u\n[define]\n"
+
+
+def test_a_definition_takes_one_name(tmp_path, capsys):
+    spec = tmp_path / "names.vspec"
+    spec.write_text(LINE + "lagrangian L junk more = u_x^2 dx[1]\n")
+    code, out, err = run(capsys, "el", str(spec))
+    one_line_error(code, out, err)
+    assert err == "error: 5:1: a definition takes one name, found extra word(s) 'junk more'\n"
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [("el M", "8:1: no definition named 'M'"), ("fed L", "8:1: 'L' is a lagrangian, expected a morphism")],
+)
+def test_task_name_errors_point_at_the_task_line(tmp_path, capsys, task, message):
+    spec = tmp_path / "tasks.vspec"
+    spec.write_text(LINE + "lagrangian L = u_x^2 dx[1]\n\n[task]\n" + task + "\n")
+    code, out, err = run(capsys, task.split()[0], str(spec))
+    one_line_error(code, out, err)
+    assert err == f"error: {message}\n"

@@ -158,21 +158,21 @@ def test_variation_resolves_top_coordinates():
 def test_functional_commutation_example():
     view = TOWER.over_fiber()
     dz = view.jet("z", MultiIndex.zero(view.base), vertical=True)
-    morphism = Morphism(view, 0, 0, Form.scalar(z * dz, view.base))
+    morphism = Morphism(view, 0, 0, Form(0, view.base, {(): z * dz}))
     s = SectionFamily(TOWER, {"z": x + p**2})
     assert check_functional_commutation(morphism, s, {"z": z})
 
 
 def test_functional_commutation_constant():
     view = TOWER.over_fiber()
-    morphism = Morphism(view, 0, 0, Form.scalar(Expr.const(2), view.base))
+    morphism = Morphism(view, 0, 0, Form(0, view.base, {(): Expr.const(2)}))
     s = SectionFamily(TOWER, {"z": x * p})
     assert check_functional_commutation(morphism, s, {"z": p})
 
 
 def test_functional_commutation_requires_vertical():
     view = TOWER.over_fiber()
-    morphism = Morphism(view, 0, None, Form.scalar(z, view.base))
+    morphism = Morphism(view, 0, None, Form(0, view.base, {(): z}))
     s = SectionFamily(TOWER, {"z": x})
     with pytest.raises(ValueError):
         check_functional_commutation(morphism, s, {"z": z})

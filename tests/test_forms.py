@@ -59,7 +59,7 @@ def test_interior_absent_index():
 
 def test_interior_degree_error():
     with pytest.raises(DegreeError):
-        interior_product(1, Form.scalar(u, NAMES))
+        interior_product(1, Form(0, NAMES, {(): u}))
 
 
 def test_degree_beyond_range_is_zero():
@@ -110,4 +110,4 @@ def test_str_is_the_cli_rendering(a):
 def test_str_brackets_only_sums():
     f = basis(1).scale(u) + basis(2).scale(u + x) + basis(3).scale(-u)
     assert str(f) == "u dx[1] + (u + x) dx[2] + -u dx[3]"
-    assert str(Form.zero(1, NAMES)) == "0" and str(Form.scalar(u + x, NAMES)) == "u + x"
+    assert str(Form.zero(1, NAMES)) == "0" and str(Form(0, NAMES, {(): u + x})) == "u + x"

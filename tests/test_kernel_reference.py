@@ -348,5 +348,3 @@ def test_entry_points_store_integral_values_as_int():
     assert type(Expr.const(2.5)._terms[()]) is Fraction
     assert list(Expr.atom(Sym("u"))._terms.values()) == [1]
     assert type(next(iter((Expr.const(Fraction(1, 3)) * Expr.atom(Sym("u"))).inverse()._terms.values()))) is int
-    for e in (Expr.const(0), Expr.const(3), Expr.const(Fraction(7, 2)), Expr({(): Fraction(4)})):
-        assert type(e.as_fraction()) is Fraction and e.as_fraction() == sum(e._terms.values())

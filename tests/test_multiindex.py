@@ -20,8 +20,6 @@ def test_increment_raises_order():
 def test_range_mismatch():
     with pytest.raises(RangeMismatchError):
         MultiIndex(XY, (0, 0)).incremented("t")
-    with pytest.raises(RangeMismatchError):
-        MultiIndex(XY, (0, 0)).exponent("t")
 
 
 def test_invalid_construction():
@@ -33,9 +31,7 @@ def test_invalid_construction():
 
 def test_positions_and_suffix():
     alpha = MultiIndex(XY, (2, 1))
-    assert alpha.positions() == (1, 1, 2)
     assert alpha.suffix_names() == ("x", "x", "y")
-    assert MultiIndex.from_positions(XY, (1, 1, 2)) == alpha
 
 
 def test_enumeration_graded_and_stable():

@@ -69,12 +69,8 @@ class JetCoord(str):
         return label
 
     def _render(self) -> str:
-        head = ("d" + self.fiber) if self.vertical else self.fiber
-        if self.alpha.order == 0:
-            return head
-        if all(len(n) == 1 for n in self.alpha.names):
-            return head + "_" + "".join(self.alpha.suffix_names())
-        return head + "[" + ",".join(map(str, self.alpha.exponents)) + "]"
+        from .render import _jet_text  # render imports this module
+        return _jet_text(self)
 
 
 def jet_atom(fiber: str, alpha: MultiIndex, vertical: bool = False):

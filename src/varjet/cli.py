@@ -38,8 +38,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="varjet", description="variational calculus on jet bundles")
     ap.add_argument("command", choices=TASK_KINDS)
     ap.add_argument("paths", nargs="*", default=[], help="declaration files")
-    ap.add_argument("--latex", action="store_true", help="render results as LaTeX")
-    ap.add_argument("--json", action="store_true", help="render results as JSON")
+    notation = ap.add_mutually_exclusive_group()
+    notation.add_argument("--latex", action="store_true", help="render results as LaTeX")
+    notation.add_argument("--json", action="store_true", help="render results as JSON")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
     ap.add_argument("--tolerance", type=float, default=None, help="override the numeric tolerances")
     ap.add_argument("--grid", type=int, default=None, help="grid points per axis for the numeric checks")
@@ -233,8 +234,13 @@ def _main(argv) -> int:
             print("error: this command needs at least one declaration file", file=sys.stderr)
             return 1
         else:
-            for _, spec in specs:
-                for task in [t for t in spec.tasks if t.command == args.command] or [spec.default_task(args.command)]:
+            for path, spec in specs:
+                tasks = [t for t in spec.tasks if t.command == args.command]
+                try:  # a file with no line for the command runs its default task
+                    tasks = tasks or [spec.default_task(args.command)]
+                except LookupError as exc:  # which has no line to point at
+                    raise ValueError(f"{path}: {exc}") from None
+                for task in tasks:
                     emit(run_task(spec, task, args))
     except ProjectabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -117,15 +117,8 @@ class FuncAtom:
         return self._label
 
     def _render(self) -> str:
-        inner = ", ".join(str(a) for a in self.args)
-        if self.func == "inv":
-            return f"(1/({inner}))"
-        if not any(self.derivs):
-            return f"{self.func}({inner})"
-        if len(self.args) == 1 and self.derivs[0] <= 3:
-            return f"{self.func}{chr(39) * self.derivs[0]}({inner})"
-        marks = ",".join(map(str, self.derivs))
-        return f"D[{marks}]{self.func}({inner})"
+        from .render import _func_text  # render imports this module
+        return _func_text(self)
 
     def __repr__(self) -> str:
         return self.label()
@@ -356,26 +349,8 @@ class Expr:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for mono, coeff in self.terms():
-            factors = []
-            for a, e in mono:
-                base = a.label()
-                factors.append(base if e == 1 else f"{base}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(parts)
+        from .render import _expr_text  # render imports this module
+        return _expr_text(self)
 
     def __repr__(self) -> str:
         return str(self)

@@ -18,9 +18,6 @@ class RangeMismatchError(ValueError):
 class MultiIndex:
     names: tuple[str, ...]
     exponents: tuple[int, ...]
-    # Computed once at construction and kept out of equality; pickling
-    # rebuilds them (see __reduce__), since string hashes differ per process.
-    _hash: int = field(init=False, repr=False, compare=False)
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -28,15 +25,8 @@ class MultiIndex:
             raise ValueError("one exponent per range name required")
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be non-negative")
-        object.__setattr__(self, "_hash", hash((self.names, self.exponents)))
         # graded order, x-before-y within a grade
         object.__setattr__(self, "_key", (sum(self.exponents), tuple(-e for e in self.exponents)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (MultiIndex, (self.names, self.exponents))
 
     @classmethod
     def zero(cls, names: tuple[str, ...]) -> "MultiIndex":

@@ -70,15 +70,15 @@ class SpecFile:
     def find(self, kind: str, name: str) -> Definition:
         d = self.definitions.get(name)
         if d is None:
-            raise ParseError(f"no definition named {name!r}", 0, 0)
+            raise LookupError(f"no definition named {name!r}")
         if d.kind != kind:
-            raise ParseError(f"{name!r} is a {d.kind}, expected a {kind}", d.line, 1)
+            raise LookupError(f"{name!r} is a {d.kind}, expected a {kind}")
         return d
 
     def only(self, kind: str) -> Definition:
         hits = [d for d in self.definitions.values() if d.kind == kind]
         if len(hits) != 1:
-            raise ParseError(f"expected exactly one {kind} definition, found {len(hits)}", 0, 0)
+            raise LookupError(f"expected exactly one {kind} definition, found {len(hits)}")
         return hits[0]
 
     def operands(self, task: Task) -> list:
@@ -88,8 +88,8 @@ class SpecFile:
             raise ParseError(f"task {task.command!r} needs {len(kinds)} name(s), got {len(task.names)}", task.line or 1, 1)
         try:
             return [self.find(kind, name).obj for kind, name in zip(kinds, task.names)]
-        except ParseError as exc:
-            raise ParseError(exc.message, task.line or 1, 1) from None
+        except LookupError as exc:
+            raise ParseError(str(exc), task.line or 1, 1) from None
 
     def default_task(self, command: str) -> Task:
         """The task a file without a line for ``command`` runs: the only
@@ -146,7 +146,10 @@ def _build(kind: str, value: str, options: dict, bundle: BundleSpec, functions: 
         if r is None:
             raise ParseError("morphisms need an explicit order r=<int>", line, 1)
         s = _int_option(options["s"], "s", line)
-    ctx = ParseContext(view, r=r, s=s, functions=functions)
+    try:
+        ctx = ParseContext(view, r=r, s=s, functions=functions)
+    except ValueError as exc:
+        raise ParseError(str(exc), line, 1) from None
     if kind == "lagrangian":
         return Lagrangian(view, parse_form_value(value, ctx, line, col))
     if kind == "morphism":
@@ -220,6 +223,8 @@ def load_specfile(text: str) -> SpecFile:
         kind, name = words[0].lower(), words[1]
         if kind not in _DEFINE_KINDS:
             raise ParseError(f"unknown definition kind {kind!r}", lineno, 1)
+        if "=" in name:
+            raise ParseError(f"a definition name takes no '=', found {name!r}", lineno, 1)
         extra, options = _parse_options(words[2:], kind, lineno)
         if extra:
             raise ParseError(f"a definition takes one name, found extra word(s) {' '.join(extra)!r}", lineno, 1)

@@ -355,3 +355,40 @@ def test_task_name_errors_point_at_the_task_line(tmp_path, capsys, task, message
     code, out, err = run(capsys, task.split()[0], str(spec))
     one_line_error(code, out, err)
     assert err == f"error: {message}\n"
+
+
+# -- declaration errors carry a position; lookups with no line name the file -----------
+
+
+@pytest.mark.parametrize("options", ["r=1 s=2", "r=-1"])
+def test_bad_morphism_orders_name_the_definition_line(tmp_path, capsys, options):
+    spec = tmp_path / "orders.vspec"
+    spec.write_text(LINE + "\n" + f"morphism L {options} = u dx[1]\n")
+    code, out, err = run(capsys, "fed", str(spec))
+    one_line_error(code, out, err)
+    assert err == "error: 6:1: orders must satisfy 0 <= s <= r\n"
+
+
+def test_a_definition_name_takes_no_equals_sign(tmp_path, capsys):
+    spec = tmp_path / "option_name.vspec"
+    spec.write_text(LINE + "lagrangian r=1 = u_x^2 dx[1]\n")
+    code, out, err = run(capsys, "el", str(spec))
+    one_line_error(code, out, err)
+    assert err == "error: 5:1: a definition name takes no '=', found 'r=1'\n"
+
+
+def test_a_file_without_the_default_definition_is_named(tmp_path, capsys):
+    good, bad = str(SPECS / "harmonic_oscillator.vspec"), tmp_path / "no_lagrangian.vspec"
+    bad.write_text(LINE + "morphism L r=1 = u dx[1]\n")
+    code, out, err = run(capsys, "el", str(bad))
+    one_line_error(code, out, err)
+    assert err == f"error: {bad}: expected exactly one lagrangian definition, found 0\n"
+    code, out, err = run(capsys, "el", good, str(bad))
+    assert code == 1 and out.startswith("E_u = ")
+    assert err == f"error: {bad}: expected exactly one lagrangian definition, found 0\n"
+
+
+def test_latex_and_json_are_exclusive(capsys):
+    code, out, err = run(capsys, "el", str(SPECS / "harmonic_oscillator.vspec"), "--latex", "--json")
+    one_line_error(code, out, err)
+    assert "--latex" in err and "--json" in err

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 
 from .bundle import CoordinateError, OrderError
 from .fiberwise import check_functional_commutation, fiberwise_jet
@@ -143,17 +144,31 @@ def run_task(spec: SpecFile, task: Task, args) -> dict:
     return _RUNNERS[task.command](task, args, *spec.operands(task))
 
 
+@contextmanager
+def _in_file(path: str, named: bool):
+    """Name ``path`` in a parse error raised inside, when ``named`` (a run
+    over several files): ``b.vspec:6:1: ...`` in place of ``6:1: ...``."""
+    try:
+        yield
+    except ParseError as exc:
+        if not named:
+            raise
+        raise ValueError(f"{path}:{exc}") from None
+
+
 def run_check(specs: list[tuple[str, SpecFile]], args) -> dict:
     from . import oracle
     from .checks import run_all
 
     grids = {m: oracle.settings(m, args.grid, args.tolerance) for m in oracle.DEFAULTS}
-    rows = [
-        (f"{path}: {task.command} {' '.join(task.names)}", bool(run_task(spec, task, args)["passed"]), "")
-        for path, spec in specs
-        for task in spec.tasks
-        if task.command != "check"
-    ]
+    rows = []
+    for path, spec in specs:
+        with _in_file(path, len(specs) > 1):
+            rows += [
+                (f"{path}: {task.command} {' '.join(task.names)}", bool(run_task(spec, task, args)["passed"]), "")
+                for task in spec.tasks
+                if task.command != "check"
+            ]
     rows += [(r.name, r.passed, r.detail) for r in run_all(args.seed, grids)]
     return {
         "command": "check",
@@ -227,7 +242,11 @@ def _main(argv) -> int:
                 for line in _lines(payload, expr_fn, form_fn):
                     print(line)
 
-        specs = [(path, load_specfile_path(path)) for path in args.paths]
+        named = len(args.paths) > 1
+        specs = []
+        for path in args.paths:
+            with _in_file(path, named):
+                specs.append((path, load_specfile_path(path)))
         if args.command == "check":
             emit(run_check(specs, args))
         elif not specs:
@@ -240,8 +259,9 @@ def _main(argv) -> int:
                     tasks = tasks or [spec.default_task(args.command)]
                 except LookupError as exc:  # which has no line to point at
                     raise ValueError(f"{path}: {exc}") from None
-                for task in tasks:
-                    emit(run_task(spec, task, args))
+                with _in_file(path, named):
+                    for task in tasks:
+                        emit(run_task(spec, task, args))
     except ProjectabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,10 +31,11 @@ class EvaluationError(ValueError):
 
 def _exact(value) -> int | Fraction:
     """``value`` as a coefficient: an ``int`` if integral, else a ``Fraction``.
-    Sums and products of ints stay ints, so only entry points and division call this."""
+    Sums and products of ints stay ints, so arithmetic calls this only on a
+    result that is not an ``int``."""
     if type(value) is int:
         return value
-    q = Fraction(value)
+    q = value if type(value) is Fraction else Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -136,20 +137,21 @@ def _lowered(mono: Monomial, i: int, k: int) -> Monomial:
     return mono[:i] + ((mono[i][0], k - 1),) + mono[i + 1 :]
 
 
-def _add_terms(out: dict, terms: Mapping[Monomial, Fraction]) -> None:
-    """Add a term map into ``out``, dropping monomials that cancel.
+def _add_terms(out: dict, terms: Iterable[tuple[Monomial, Fraction]]) -> None:
+    """Add ``(monomial, coefficient)`` pairs into ``out``, dropping monomials
+    that cancel.
 
     A monomial that cancels and comes back later re-enters at the end, just
     as it does when the same sums are built one ``+`` at a time.
     """
-    for m, c in terms.items():
+    for m, c in terms:
         prev = out.get(m)
         if prev is None:
             out[m] = c
         else:
             c = prev + c
             if c:
-                out[m] = c
+                out[m] = c if type(c) is int else _exact(c)
             else:
                 del out[m]
 
@@ -217,6 +219,12 @@ class Expr:
         object.__setattr__(e, "_hash", None)
         return e
 
+    @classmethod
+    def _from_sums(cls, terms: dict) -> "Expr":
+        """Adopt a dict of accumulated sums and products: zeros dropped,
+        integral values stored as ``int``."""
+        return cls._frozen({m: c if type(c) is int else _exact(c) for m, c in terms.items() if c})
+
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
 
@@ -268,7 +276,7 @@ class Expr:
     def __add__(self, other) -> "Expr":
         other = _coerce(other)
         out = dict(self._terms)
-        _add_terms(out, other._terms)
+        _add_terms(out, other._terms.items())
         return Expr._frozen(out)
 
     __radd__ = __add__
@@ -287,14 +295,20 @@ class Expr:
         if len(other._terms) == 1:
             # Multiplying by one monomial is injective: no terms collide or cancel.
             ((m2, c2),) = other._terms.items()
-            return Expr._frozen({_mono_mul(m1, m2): c1 * c2 for m1, c1 in self._terms.items()})
+            if c2 == 1 and type(c2) is int:  # each coefficient as it is
+                return Expr._frozen({_mono_mul(m1, m2): c1 for m1, c1 in self._terms.items()})
+            terms = {}
+            for m1, c1 in self._terms.items():
+                c = c1 * c2
+                terms[_mono_mul(m1, m2)] = c if type(c) is int else _exact(c)
+            return Expr._frozen(terms)
         out: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
                 prev = out.get(m)
                 out[m] = c1 * c2 if prev is None else prev + c1 * c2
-        return Expr(out)
+        return Expr._from_sums(out)
 
     __rmul__ = __mul__
 
@@ -417,7 +431,7 @@ def diff(e: Expr, c) -> Expr:
                     da = chains[a] = _atom_derivative(a, c)
                 if da._terms:
                     _add_chain_terms(out, _lowered(mono, i, k), coeff if k == 1 else coeff * k, da)
-    return Expr(out)
+    return Expr._from_sums(out)
 
 
 def _add_chain_terms(out: dict, base: Monomial, q: Fraction, da: Expr) -> None:
@@ -463,7 +477,7 @@ def partials(e: Expr, accept: Callable[[object], bool]) -> dict:
                 out[m] = q if prev is None else prev + q
     result = {}
     for a, terms in sums.items():
-        d = Expr(terms)
+        d = Expr._from_sums(terms)
         if d._terms:
             result[a] = d
     return result
@@ -624,5 +638,5 @@ def sum_exprs(items: Iterable[Expr]) -> Expr:
     """
     out: dict = {}
     for e in items:
-        _add_terms(out, e._terms)
+        _add_terms(out, e._terms.items())
     return Expr._frozen(out)

@@ -21,7 +21,7 @@ shifted multi-index.
 from dataclasses import dataclass
 
 from .bundle import BundleSpec, CoordinateError, JetCoord, enumerate_jet_coordinates, jet_atom
-from .expr import Expr, FuncAtom, Sym, diff, partials, substitute, sum_exprs
+from .expr import Expr, FuncAtom, Sym, _add_terms, _mono_mul, diff, partials, substitute, sum_exprs
 from .forms import Form, substitute_form, wedge_basis_left
 from .multiindex import MultiIndex, graded_tower
 
@@ -108,6 +108,11 @@ def total_derivative(e: Expr, direction: str, bundle: BundleSpec, r: int, s: int
     coordinate present, the coordinate with the incremented multi-index
     times the corresponding partial.  The result lives at orders
     (r + 1, s + 1).
+
+    The terms go straight into one dict: first the base partial's, then, for
+    each coordinate in sort-key order, its partial's monomials times the
+    shifted atom, with unchanged coefficients.  Terms and their order are
+    those of summing the products one ``+`` at a time.
     """
     if direction not in bundle.base:
         raise CoordinateError(f"{direction!r} is not a base coordinate")
@@ -116,15 +121,25 @@ def total_derivative(e: Expr, direction: str, bundle: BundleSpec, r: int, s: int
     fiber = bundle.fiber
     # Every partial the formula needs, from one walk over the terms.
     parts = partials(e, lambda a: a == x or isinstance(a, JetCoord) or a.name in fiber)
-    zero = bundle.zero_index()
-    summands = [parts.pop(x)] if x in parts else []
+    out = dict(parts.pop(x)._terms) if x in parts else {}
     for a in sorted(parts, key=lambda a: a.sort_key()):
+        shift = ((_shifted(bundle, a, direction), 1),)
+        _add_terms(out, ((_mono_mul(m, shift), c) for m, c in parts[a]._terms.items()))
+    return Expr._frozen(out)
+
+
+def _shifted(bundle: BundleSpec, a, direction: str):
+    """The atom that the total derivative along ``direction`` shifts the
+    coordinate ``a`` to, built once per bundle and kept in its shift table."""
+    key = (a, direction)
+    shifted = bundle._shifts.get(key)
+    if shifted is None:
         if isinstance(a, Sym):
-            shifted = jet_atom(a.name, zero.incremented(direction))
+            shifted = jet_atom(a.name, bundle.zero_index().incremented(direction))
         else:
             shifted = jet_atom(a.fiber, a.alpha.incremented(direction), a.vertical)
-        summands.append(parts[a] * Expr.atom(shifted))
-    return sum_exprs(summands)
+        bundle._shifts[key] = shifted
+    return shifted
 
 
 def holonomic_prolongation(phi: Morphism, k: int) -> dict[MultiIndex, Form]:
@@ -183,16 +198,18 @@ def formal_exterior_differential_direct(phi: Morphism) -> Morphism:
     zero = bundle.zero_index()
     value = Form.zero(phi.degree + 1, bundle.base)
     for i, name in enumerate(bundle.base, start=1):
+        # Each coordinate with its shift along ``name``, once per call.  Built
+        # here, not read from the bundle's shift table: the routes share no atoms.
+        shifts = []
+        for a in coords:
+            if isinstance(a, Sym):
+                shifted = jet_atom(a.name, zero.incremented(name))
+            else:
+                shifted = jet_atom(a.fiber, a.alpha.incremented(name), a.vertical)
+            shifts.append((a, Expr.atom(shifted)))
 
-        def d_i(c: Expr, name=name) -> Expr:
-            summands = [diff(c, Sym(name))]
-            for a in coords:
-                if isinstance(a, Sym):
-                    shifted = jet_atom(a.name, zero.incremented(name))
-                else:
-                    shifted = jet_atom(a.fiber, a.alpha.incremented(name), a.vertical)
-                summands.append(diff(c, a) * Expr.atom(shifted))
-            return sum_exprs(summands)
+        def d_i(c: Expr, name=name, shifts=shifts) -> Expr:
+            return sum_exprs([diff(c, Sym(name))] + [diff(c, a) * shifted for a, shifted in shifts])
 
         value = value + wedge_basis_left(i, phi.value.map_coeffs(d_i))
     return Morphism(bundle, phi.r + 1, None if phi.s is None else phi.s + 1, value)

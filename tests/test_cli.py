@@ -388,6 +388,27 @@ def test_a_file_without_the_default_definition_is_named(tmp_path, capsys):
     assert err == f"error: {bad}: expected exactly one lagrangian definition, found 0\n"
 
 
+@pytest.mark.parametrize("command", ["el", "check"])
+def test_a_parse_error_in_a_multi_file_run_names_its_file(tmp_path, capsys, command):
+    good, bad = str(SPECS / "harmonic_oscillator.vspec"), tmp_path / "bad.vspec"
+    bad.write_text(LINE + "\nlagrangian L junk = u_x^2 dx[1]\n")
+    message = "6:1: a definition takes one name, found extra word(s) 'junk'"
+    code, out, err = run(capsys, command, good, str(bad))
+    one_line_error(code, out, err)
+    assert err == f"error: {bad}:{message}\n"
+    code, out, err = run(capsys, command, str(bad))  # one file: the position alone
+    one_line_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["el", "check"])
+def test_a_task_line_error_in_a_multi_file_run_names_its_file(tmp_path, capsys, command):
+    good, bad = str(SPECS / "harmonic_oscillator.vspec"), tmp_path / "tasks.vspec"
+    bad.write_text(LINE + "lagrangian L = u_x^2 dx[1]\n\n[task]\nel M\n")
+    code, out, err = run(capsys, command, good, str(bad))
+    assert code == 1 and err == f"error: {bad}:8:1: no definition named 'M'\n"
+
+
 def test_latex_and_json_are_exclusive(capsys):
     code, out, err = run(capsys, "el", str(SPECS / "harmonic_oscillator.vspec"), "--latex", "--json")
     one_line_error(code, out, err)

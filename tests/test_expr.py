@@ -146,6 +146,29 @@ def test_rational_coefficients_exact():
     assert e == Fraction(1, 2) * u
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: u * Fraction(1, 2) * 2,
+        lambda: u / 2 + u / 2,
+        lambda: sum_exprs([u / 3, u / 3, u / 3]),
+        lambda: (u / 2 + Fraction(1, 2)) * (2 * u + 2),
+        lambda: diff(u**2 / 2, U),
+        lambda: diff(sin(u**2 / 2), U),
+    ],
+    ids=["monomial product", "sum", "sum_exprs", "product of sums", "diff", "chain rule"],
+)
+def test_integral_results_are_stored_as_int(build):
+    assert all(type(c) is int for c in build()._terms.values())
+
+
+def test_product_by_one_keeps_each_coefficient():
+    e = u / 3 + v * Fraction(5, 2)
+    product = e * Expr.atom(X)
+    assert list(product._terms.values()) == [Fraction(1, 3), Fraction(5, 2)]
+    assert all(c is d for c, d in zip(product._terms.values(), e._terms.values()))
+
+
 def test_evaluate():
     val = evaluate(u**2 + 2 * x, {U: 3.0, X: 0.5})
     assert val == 10.0

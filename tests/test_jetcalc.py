@@ -1,7 +1,9 @@
+import pickle
 from random import Random
 
 import pytest
 
+import varjet.jetcalc
 from varjet.bundle import BundleSpec, CoordinateError, JetCoord, enumerate_jet_coordinates
 from varjet.expr import Expr, Sym, sym
 from varjet.forms import Form
@@ -46,6 +48,58 @@ def test_total_derivative_rejects_unknown_symbols():
         total_derivative(uxx, "x", B1, 1, None)
     with pytest.raises(CoordinateError):
         total_derivative(du, "x", B1, 0, None)
+
+
+# -- the shift table: each bundle keeps the atoms its total derivatives shift to --
+
+
+def shifted_atoms(e, direction, bundle, r=0, s=None):
+    return {a for a in total_derivative(e, direction, bundle, r, s).atoms() if isinstance(a, JetCoord)}
+
+
+def test_shifts_follow_each_bundle_base():
+    line, plane = BundleSpec(("x",), ("u",)), BundleSpec(("x", "y"), ("u",))
+    for _ in range(2):  # alternate, so each call may find the other's entries
+        for bundle in (line, plane, line):
+            assert shifted_atoms(u * u, "x", bundle) == {JetCoord("u", MultiIndex.unit(bundle.base, "x"))}
+    assert shifted_atoms(u, "y", plane) == {JetCoord("u", MultiIndex(("x", "y"), (0, 1)))}
+
+
+def test_shifts_follow_an_over_fiber_view():
+    tower = BundleSpec(("x",), ("u",), ("w",))
+    plain = BundleSpec(("x",), ("w",))
+    w = sym("w")
+    for _ in range(2):
+        for view in (tower.over_fiber(), plain, tower.over_fiber()):
+            assert shifted_atoms(w * x, "x", view) == {JetCoord("w", MultiIndex.unit(view.base, "x"))}
+    view = tower.over_fiber()
+    assert total_derivative(w, "u", view, 0, None) == view.jet("w", MultiIndex.unit(view.base, "u"))
+
+
+def test_the_shift_table_is_invisible():
+    empty, filled = BundleSpec(("x", "y"), ("u",)), BundleSpec(("x", "y"), ("u",))
+    total_derivative(u * x, "y", filled, 0, None)
+    total_derivative(u * u, "x", filled, 0, None)
+    assert filled._shifts and not empty._shifts
+    assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+    assert pickle.dumps(filled) == pickle.dumps(empty)
+    copy = pickle.loads(pickle.dumps(filled))
+    assert copy == filled and not copy._shifts
+
+
+def test_a_repeated_total_derivative_builds_no_atom(monkeypatch):
+    bundle = BundleSpec(("x", "y"), ("u", "v"))
+    ux_ = bundle.jet("u", MultiIndex.unit(bundle.base, "x"))
+    dv = bundle.jet("v", MultiIndex.zero(bundle.base), vertical=True)
+    e = u * sym("v") ** 2 + ux_ * dv + x * u
+    calls = []
+    real = varjet.jetcalc.jet_atom
+    monkeypatch.setattr(varjet.jetcalc, "jet_atom", lambda *args: calls.append(args) or real(*args))
+    first = total_derivative(e, "y", bundle, 1, 0)
+    assert len(calls) == 4  # u, v, u_x and dv each shift once
+    calls.clear()
+    second = total_derivative(e, "y", bundle, 1, 0)
+    assert calls == [] and list(second._terms.items()) == list(first._terms.items())
 
 
 def test_holonomic_prolongation_identity_at_zero():

@@ -228,11 +228,11 @@ def test_multiindex_order_is_cached_sort_key():
 
 # -- coefficient types -------------------------------------------------------------
 #
-# A coefficient is an ``int`` when integral and a ``Fraction`` otherwise, and
-# only the entry points convert.  The two types compare and hash alike, so an
-# expression built from ``Fraction`` leaves (through the raw constructor,
-# which keeps them) must give the same results and texts as one built from
-# ``int`` leaves.
+# A coefficient is an ``int`` when integral and a ``Fraction`` otherwise; the
+# entry points, sums, products and derivatives convert.  The two types
+# compare and hash alike, so an expression built from ``Fraction`` leaves
+# (through the raw constructor, which keeps them) must give the same results
+# and texts as one built from ``int`` leaves.
 
 def _inv(e: Expr) -> Expr:
     # The recipe may cancel the denominator (e = -x); like a negative power

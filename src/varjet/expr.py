@@ -8,8 +8,11 @@ A coefficient is an ``int`` when its value is integral and a
 :class:`~fractions.Fraction` otherwise; the two compare and hash alike, so
 the type never changes a result.
 Every arithmetic operation produces the canonical form directly: an
-expanded sum of monomials with a fixed graded-lexicographic term order, so
-structural equality decides zero on the polynomial class.
+expanded sum of monomials, one term per monomial and no zero coefficient,
+so structural equality decides zero on the polynomial class.  Terms are
+kept in the order arithmetic inserts them, which is the order
+:func:`evaluate` sums in; :meth:`Expr.terms` and rendering sort them
+graded-lexicographically, and equality ignores the order.
 
 Distinct function applications are treated as independent atoms.  This is
 sound for zero testing but incomplete: ``sin(u)**2 + cos(u)**2 - 1`` does

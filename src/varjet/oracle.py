@@ -57,8 +57,8 @@ class GridSection:
         for p, arr in self.values.items():
             if arr.shape != shape:
                 raise ValueError(f"samples for {p!r} have shape {arr.shape}, expected {shape}")
-        if any(n < 5 for n in shape):
-            raise ValueError("need at least 5 points per axis for central stencils")
+        if any(n < MIN_GRID for n in shape):
+            raise ValueError(f"need at least {MIN_GRID} points per axis for central stencils")
         for arr in self.values.values():
             arr.flags.writeable = False  # the memo's evaluations must not go stale
 
@@ -80,13 +80,6 @@ class GridSection:
     def axis_points(self, axis: int) -> np.ndarray:
         """The grid coordinates along one axis, built once per section."""
         return self._axes[axis]
-
-    def coordinate_arrays(self, box: tuple[slice, ...] | None = None) -> dict[Sym, np.ndarray]:
-        """The base coordinates on the grid, or on the sub-box ``box`` of
-        one slice per axis."""
-        box = box or (slice(None),) * self.bundle.m
-        axes = [self.axis_points(a)[sl] for a, sl in enumerate(box)]
-        return dict(zip(map(Sym, self.bundle.base), np.meshgrid(*axes, indexing="ij")))
 
     def perturbed(self, eta: "GridSection", epsilon: float) -> "GridSection":
         vals = {p: self.values[p] + epsilon * eta.values[p] for p in self.values}
@@ -164,23 +157,16 @@ def _jet_order(e: Expr) -> int:
     return max((a.alpha.order for a in e.atoms() if isinstance(a, JetCoord) and not a.vertical), default=0)
 
 
-def jet_environment(e: Expr, s: GridSection, box: tuple[slice, ...] | None = None) -> dict:
-    """Numeric arrays for every coordinate atom appearing in ``e``.
-
-    With ``box``, one slice per axis, the arrays cover only that sub-box of
-    the grid: its samples, and the stencils applied to them with the grid's
-    spacing (NaN on the box's own margin).  Every value equals the
-    full-grid value at the same point bit for bit.
-    """
-    box = box or (slice(None),) * s.bundle.m
-    env: dict = dict(s.coordinate_arrays(box))
+def jet_environment(e: Expr, s: GridSection) -> dict:
+    """Numeric arrays over the grid for every coordinate atom appearing in ``e``."""
+    env: dict = dict(zip(map(Sym, s.bundle.base), np.meshgrid(*s._axes, indexing="ij")))
     for p in s.bundle.fiber:
-        env[Sym(p)] = s.values[p][box]  # evaluate never writes to its env
+        env[Sym(p)] = s.values[p]  # evaluate never writes to its env
     for a in e.atoms():
         if isinstance(a, JetCoord):
             if a.vertical:
                 raise ValueError("grid evaluation does not take vertical coordinates")
-            env[a] = _derivative_array(s.values[a.fiber][box], a.alpha.exponents, s.spacing)
+            env[a] = _derivative_array(s.values[a.fiber], a.alpha.exponents, s.spacing)
     return env
 
 
@@ -222,28 +208,24 @@ def eval_jet_grid(e: Expr, s: GridSection) -> np.ndarray:
 def eval_jet(e: Expr, s: GridSection, point: tuple[int, ...]) -> float:
     """Evaluate a jet expression at one grid index via central stencils.
 
-    Reads only the box of ``2*margin + 1`` points per axis centred on
-    ``point`` (margin 1 when ``e`` holds jet coordinates, else 0) and
-    evaluates there.  Stencils and evaluation act point by point, so the
-    value equals ``eval_jet_grid(e, s)[point]`` bit for bit, at a cost that
-    does not grow with the grid.
+    The value is the entry of ``eval_jet_grid(e, s)`` at ``point``: the
+    first call on an expression evaluates the whole grid and keeps it on
+    ``s``, and later calls at any point read it.
 
-    A point too close to the boundary raises ``StencilError``; a value that
-    is not finite there, such as ``ln`` of a negative number, raises a plain
-    ``ValueError``.
+    A point that is not one integer index per base axis raises
+    ``ValueError``; a point too close to the boundary raises
+    ``StencilError``; a value that is not finite there, such as ``ln`` of a
+    negative number, raises a plain ``ValueError``.
     """
+    m = s.bundle.m
+    if len(point) != m or not all(isinstance(idx, (int, np.integer)) for idx in point):
+        raise ValueError(f"a grid point has {m} integer indices, one per base axis, got {point!r}")
     order = _jet_order(e)
     margin = 1 if order else 0
     for idx, n in zip(point, s.shape):
         if not margin <= idx < n - margin:
             raise StencilError(f"point {point} lacks stencil support at order {order}")
-    box = tuple(slice(idx - margin, idx + margin + 1) for idx in point)
-    with np.errstate(all="ignore"):
-        values = np.asarray(evaluate(e, jet_environment(e, s, box)), dtype=float)
-    shape = (2 * margin + 1,) * len(point)
-    if values.shape != shape:
-        values = values * np.ones(shape)
-    value = float(values[(margin,) * len(point)])
+    value = float(eval_jet_grid(e, s)[tuple(point)])
     if not math.isfinite(value):
         raise ValueError(f"the value at point {point} is not finite: {value}")
     return value

@@ -33,15 +33,26 @@ def rand_poly(rng: Random, atoms, degree: int = 3, terms: int = 4) -> Expr:
     return out
 
 
-def rand_bundle(rng: Random, max_m: int = 3, max_n: int = 2, min_m: int = 1) -> BundleSpec:
+# Every bundle and tower a draw can return, built once so that the cases
+# drawing one share its shift table (see ``BundleSpec``).
+_BUNDLES = {(m, n): BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n]) for m in (1, 2, 3) for n in (1, 2)}
+_TOWERS = {
+    (m, n, top): BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n], _TOP_NAMES[:top])
+    for m in (1, 2)
+    for n in (1, 2)
+    for top in (1, 2)
+}
+
+
+def rand_bundle(rng: Random, max_m: int = 3, min_m: int = 1) -> BundleSpec:
     m = rng.randint(min_m, max_m)
-    n = rng.randint(1, max_n)
-    return BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n])
+    n = rng.randint(1, 2)
+    return _BUNDLES[m, n]
 
 
 def rand_tower(rng: Random) -> BundleSpec:
     m, n, top = (rng.randint(1, 2) for _ in range(3))
-    return BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n], _TOP_NAMES[:top])
+    return _TOWERS[m, n, top]
 
 
 def rand_form(rng: Random, bundle: BundleSpec, degree: int, atoms) -> Form:
@@ -60,9 +71,9 @@ def rand_morphism(rng: Random, bundle: BundleSpec, r: int, s: int | None, degree
     return Morphism(bundle, r, s, rand_form(rng, bundle, degree, atoms))
 
 
-def rand_vertical_field(rng: Random, bundle: BundleSpec, degree: int = 3) -> VerticalField:
+def rand_vertical_field(rng: Random, bundle: BundleSpec) -> VerticalField:
     atoms = [Sym(nm) for nm in bundle.base + bundle.fiber]
-    return VerticalField(bundle, {p: rand_poly(rng, atoms, degree=degree) for p in bundle.fiber})
+    return VerticalField(bundle, {p: rand_poly(rng, atoms) for p in bundle.fiber})
 
 
 def rand_lagrangian(rng: Random, bundle: BundleSpec, degree: int) -> Lagrangian:
@@ -70,14 +81,14 @@ def rand_lagrangian(rng: Random, bundle: BundleSpec, degree: int) -> Lagrangian:
     return Lagrangian(bundle, rand_form(rng, bundle, degree, atoms))
 
 
-def rand_base_morphism(rng: Random, source: BundleSpec, targets: tuple[str, ...], degree: int = 3) -> BaseMorphism:
+def rand_base_morphism(rng: Random, source: BundleSpec, targets: tuple[str, ...]) -> BaseMorphism:
     atoms = [Sym(nm) for nm in source.base + source.fiber]
-    return BaseMorphism(source, targets, {a: rand_poly(rng, atoms, degree=degree) for a in targets})
+    return BaseMorphism(source, targets, {a: rand_poly(rng, atoms) for a in targets})
 
 
-def rand_section_family(rng: Random, tower: BundleSpec, degree: int = 2) -> SectionFamily:
+def rand_section_family(rng: Random, tower: BundleSpec) -> SectionFamily:
     atoms = [Sym(nm) for nm in tower.base + tower.fiber]
-    return SectionFamily(tower, {a: rand_poly(rng, atoms, degree=degree) for a in tower.second})
+    return SectionFamily(tower, {a: rand_poly(rng, atoms, degree=2) for a in tower.second})
 
 
 def rand_point(rng: Random, names: tuple[str, ...]) -> dict[str, Fraction]:

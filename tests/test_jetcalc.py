@@ -20,7 +20,7 @@ from varjet.jetcalc import (
     total_derivative,
 )
 from varjet.multiindex import MultiIndex
-from varjet.randgen import rand_morphism, rand_poly, rand_vertical_field
+from varjet.randgen import rand_bundle, rand_morphism, rand_poly, rand_tower, rand_vertical_field
 from varjet.checks import fed_consistency, fed_squares_to_zero, naturality, total_derivatives_commute, chain_rule_on_sections
 
 B1 = BundleSpec(("x",), ("u",))
@@ -100,6 +100,14 @@ def test_a_repeated_total_derivative_builds_no_atom(monkeypatch):
     calls.clear()
     second = total_derivative(e, "y", bundle, 1, 0)
     assert calls == [] and list(second._terms.items()) == list(first._terms.items())
+
+
+def test_random_draws_share_their_bundles():
+    # Property cases that draw the same bundle get one object, and so share
+    # its shift table.
+    a, b = Random(3), Random(3)
+    assert all(rand_bundle(a) is rand_bundle(b) for _ in range(20))
+    assert all(rand_tower(a) is rand_tower(b) for _ in range(20))
 
 
 def test_holonomic_prolongation_identity_at_zero():

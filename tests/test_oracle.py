@@ -287,7 +287,7 @@ def test_action_variation_3d_converges():
     assert 3.0 <= coarse / fine <= 5.0
 
 
-# -- eval_jet on its 3^m box ------------------------------------------------------
+# -- eval_jet reads the grid evaluation -------------------------------------------
 
 
 def jet_atoms(bundle: BundleSpec, order: int) -> list:
@@ -299,11 +299,11 @@ def jet_atoms(bundle: BundleSpec, order: int) -> list:
 
 
 @pytest.mark.parametrize("bundle, shape", [(B1, (41,)), (B2, (13, 11)), (B3, (7, 8, 9))])
-def test_eval_jet_reads_its_box_bit_for_bit(bundle, shape, monkeypatch):
+def test_eval_jet_reads_the_grid_bit_for_bit(bundle, shape):
     first, second = jet_atoms(bundle, 1), jet_atoms(bundle, 2)
     x = sym("x")
     exprs = [
-        u * u + sin(x) * u,  # order 0: a box of one point
+        u * u + sin(x) * u,  # order 0: defined at every grid point
         x * u + sum(first, Expr.const(0)) + sin(u) * first[0] ** 2 + exp(first[-1]) / 3,
         sum(second, Expr.const(0)) + first[0] * second[-1] + cos(x) * second[0] ** 3 - u,
     ]
@@ -315,18 +315,44 @@ def test_eval_jet_reads_its_box_bit_for_bit(bundle, shape, monkeypatch):
     outer = list(itertools.product(*((0, n - 1) for n in shape)))
     cases = [(e, p) for e in exprs for p in edges + inner] + [(exprs[0], p) for p in outer]
     expected = [eval_jet_grid(e, s)[p] for e, p in cases]
-
-    real = oracle._derivative_array
-    widths = []
-
-    def spy(arr, exponents, spacing):
-        widths.extend(arr.shape)
-        return real(arr, exponents, spacing)
-
-    monkeypatch.setattr(oracle, "_derivative_array", spy)
     for (e, p), want in zip(cases, expected):
         assert np.float64(eval_jet(e, s, p)).tobytes() == want.tobytes(), (e, p)
-    assert widths and max(widths) <= 3
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Record every ``evaluate`` call the oracle makes."""
+    calls = []
+    real = oracle.evaluate
+
+    def spy(e, env):
+        calls.append(e)
+        return real(e, env)
+
+    monkeypatch.setattr(oracle, "evaluate", spy)
+    return calls
+
+
+def test_eval_jet_reads_the_grid_memo(monkeypatch):
+    e = u * u + sym("x") * ux
+    checked = parabola(101)
+    check_total_derivative(e, checked)
+    calls = count_evaluations(monkeypatch)
+    eval_jet(e, checked, (50,))
+    assert len(calls) == 0
+    fresh = parabola(101)
+    eval_jet(e, fresh, (50,))
+    assert len(calls) == 1
+    eval_jet(e, fresh, (20,))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("point", [(5,), (5, 5, 5), (5.0, 5)])
+def test_eval_jet_rejects_a_malformed_point(point, monkeypatch):
+    s = sample_section(B2, ((0.0, 1.0),) * 2, (11, 11), {"u": lambda x, y: x * y})
+    calls = count_evaluations(monkeypatch)
+    with pytest.raises(ValueError, match="2 integer indices"):
+        eval_jet(u, s, point)
+    assert not calls
 
 
 # -- the oracle driver ------------------------------------------------------------

@@ -7,7 +7,7 @@ multi-index over the base range of the view they belong to.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .expr import Expr, Sym
@@ -86,18 +86,11 @@ class BundleSpec:
 
     ``second`` holds the top-level fiber names of a 2-fibered tower
     Q -> E -> M; both derived views (Q over E, Q over M) are available.
-
-    ``_shifts`` maps ``(atom, direction)`` to the atom one total derivative
-    along ``direction`` shifts it to; the total derivative fills it on
-    first use.  It belongs to the bundle because a plain fiber symbol's
-    shift is a multi-index over this bundle's base.  It takes no part in
-    equality, hashing, ``repr`` or pickling.
     """
 
     base: tuple[str, ...]
     fiber: tuple[str, ...]
     second: tuple[str, ...] = ()
-    _shifts: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self) -> None:
         names = self.base + self.fiber + self.second
@@ -110,9 +103,6 @@ class BundleSpec:
                 raise ValueError(f"invalid coordinate name {n!r}")
             if n.startswith("d"):
                 raise ValueError(f"{n!r}: names starting with 'd' are reserved for vertical coordinates")
-
-    def __reduce__(self):
-        return (BundleSpec, (self.base, self.fiber, self.second))
 
     @property
     def m(self) -> int:

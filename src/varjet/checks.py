@@ -61,8 +61,6 @@ class CheckResult:
 # Returned by a case function for an inadmissible draw, which is not counted.
 SKIP = object()
 
-# The line bundle of the fixed-bundle checks, built once so that they share its
-# shift table.
 _LINE = BundleSpec(("x",), ("u",))
 
 

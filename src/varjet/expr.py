@@ -322,12 +322,12 @@ class Expr:
             return self.inverse() ** (-k)
         result = Expr.const(1)
         base = self
-        n = k
-        while n:
-            if n & 1:
+        while k:
+            if k & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
+            k >>= 1
+            if k:  # a square after the last bit would never be read
+                base = base * base
         return result
 
     def inverse(self) -> "Expr":

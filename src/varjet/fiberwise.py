@@ -101,10 +101,6 @@ class OperatorOrderReport:
     conclusion_holds: bool | None
     witness: tuple | None = None
 
-    @property
-    def holds(self) -> bool:
-        return bool(self.precondition_met and self.conclusion_holds)
-
 
 def check_operator_order(
     f: BaseMorphism, g: BaseMorphism, k: int, point: dict[str, Fraction]
@@ -188,6 +184,5 @@ def check_functional_commutation(
 
     rhs_bindings = section_bindings(view, s.components, variations, morphism.r, morphism.s)
     evaluated = substitute_form(morphism.value, rhs_bindings)
-    coordinate_atoms = [Sym(n) for n in view.base]
-    rhs = exterior_derivative(evaluated, coordinate_atoms)
+    rhs = exterior_derivative(evaluated)
     return lhs == rhs

@@ -9,7 +9,7 @@ wedge goes to the left, and contraction removes slot q with sign (-1)^(q-1).
 from dataclasses import dataclass
 from typing import Mapping
 
-from .expr import Expr, ZERO, diff, substitute
+from .expr import Expr, ZERO, Sym, diff, substitute
 
 
 class DegreeError(ValueError):
@@ -166,14 +166,12 @@ def interior_product(j: int, omega: Form) -> Form:
     return Form(omega.degree - 1, omega.names, out)
 
 
-def exterior_derivative(omega: Form, coordinate_atoms) -> Form:
+def exterior_derivative(omega: Form) -> Form:
     """Classical exterior differential, differentiating coefficients by the
-    given coordinate atoms (one per range name, in range order)."""
-    if len(coordinate_atoms) != len(omega.names):
-        raise RangeError("need one coordinate atom per range name")
+    coordinate symbols of the range names."""
     result = Form.zero(omega.degree + 1, omega.names)
-    for i, atom in enumerate(coordinate_atoms, start=1):
-        result = result + wedge_basis_left(i, omega.map_coeffs(lambda c, a=atom: diff(c, a)))
+    for i, name in enumerate(omega.names, start=1):
+        result = result + wedge_basis_left(i, omega.map_coeffs(lambda c, a=Sym(name): diff(c, a)))
     return result
 
 

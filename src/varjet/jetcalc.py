@@ -19,6 +19,7 @@ shifted multi-index.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .bundle import BundleSpec, CoordinateError, JetCoord, enumerate_jet_coordinates, jet_atom
 from .expr import Expr, FuncAtom, Sym, _add_terms, _mono_mul, diff, partials, substitute, sum_exprs
@@ -123,23 +124,18 @@ def total_derivative(e: Expr, direction: str, bundle: BundleSpec, r: int, s: int
     parts = partials(e, lambda a: a == x or isinstance(a, JetCoord) or a.name in fiber)
     out = dict(parts.pop(x)._terms) if x in parts else {}
     for a in sorted(parts, key=lambda a: a.sort_key()):
-        shift = ((_shifted(bundle, a, direction), 1),)
+        shift = ((_shifted(a, direction, bundle.base), 1),)
         _add_terms(out, ((_mono_mul(m, shift), c) for m, c in parts[a]._terms.items()))
     return Expr._frozen(out)
 
 
-def _shifted(bundle: BundleSpec, a, direction: str):
+@cache
+def _shifted(a, direction: str, base: tuple[str, ...]):
     """The atom that the total derivative along ``direction`` shifts the
-    coordinate ``a`` to, built once per bundle and kept in its shift table."""
-    key = (a, direction)
-    shifted = bundle._shifts.get(key)
-    if shifted is None:
-        if isinstance(a, Sym):
-            shifted = jet_atom(a.name, bundle.zero_index().incremented(direction))
-        else:
-            shifted = jet_atom(a.fiber, a.alpha.incremented(direction), a.vertical)
-        bundle._shifts[key] = shifted
-    return shifted
+    coordinate ``a`` of a bundle over ``base`` to, built once per key."""
+    if isinstance(a, Sym):
+        return jet_atom(a.name, MultiIndex.zero(base).incremented(direction))
+    return jet_atom(a.fiber, a.alpha.incremented(direction), a.vertical)
 
 
 def holonomic_prolongation(phi: Morphism, k: int) -> dict[MultiIndex, Form]:
@@ -199,7 +195,7 @@ def formal_exterior_differential_direct(phi: Morphism) -> Morphism:
     value = Form.zero(phi.degree + 1, bundle.base)
     for i, name in enumerate(bundle.base, start=1):
         # Each coordinate with its shift along ``name``, once per call.  Built
-        # here, not read from the bundle's shift table: the routes share no atoms.
+        # here, not read from ``_shifted``'s memo: the routes share no atoms.
         shifts = []
         for a in coords:
             if isinstance(a, Sym):

@@ -212,13 +212,15 @@ def eval_jet(e: Expr, s: GridSection, point: tuple[int, ...]) -> float:
     first call on an expression evaluates the whole grid and keeps it on
     ``s``, and later calls at any point read it.
 
-    A point that is not one integer index per base axis raises
-    ``ValueError``; a point too close to the boundary raises
-    ``StencilError``; a value that is not finite there, such as ``ln`` of a
-    negative number, raises a plain ``ValueError``.
+    A point that is not a tuple or list of one integer index per base axis
+    (a ``bool`` is not an index) raises ``ValueError``; a point too close
+    to the boundary raises ``StencilError``; a value that is not finite
+    there, such as ``ln`` of a negative number, raises a plain
+    ``ValueError``.
     """
     m = s.bundle.m
-    if len(point) != m or not all(isinstance(idx, (int, np.integer)) for idx in point):
+    indices = isinstance(point, (tuple, list)) and len(point) == m
+    if not (indices and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in point)):
         raise ValueError(f"a grid point has {m} integer indices, one per base axis, got {point!r}")
     order = _jet_order(e)
     margin = 1 if order else 0

@@ -33,26 +33,15 @@ def rand_poly(rng: Random, atoms, degree: int = 3, terms: int = 4) -> Expr:
     return out
 
 
-# Every bundle and tower a draw can return, built once so that the cases
-# drawing one share its shift table (see ``BundleSpec``).
-_BUNDLES = {(m, n): BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n]) for m in (1, 2, 3) for n in (1, 2)}
-_TOWERS = {
-    (m, n, top): BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n], _TOP_NAMES[:top])
-    for m in (1, 2)
-    for n in (1, 2)
-    for top in (1, 2)
-}
-
-
 def rand_bundle(rng: Random, max_m: int = 3, min_m: int = 1) -> BundleSpec:
     m = rng.randint(min_m, max_m)
     n = rng.randint(1, 2)
-    return _BUNDLES[m, n]
+    return BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n])
 
 
 def rand_tower(rng: Random) -> BundleSpec:
     m, n, top = (rng.randint(1, 2) for _ in range(3))
-    return _TOWERS[m, n, top]
+    return BundleSpec(_BASE_NAMES[:m], _FIBER_NAMES[:n], _TOP_NAMES[:top])
 
 
 def rand_form(rng: Random, bundle: BundleSpec, degree: int, atoms) -> Form:

@@ -141,6 +141,17 @@ def test_integer_powers():
         u ** Fraction(1, 2)
 
 
+def test_a_power_squares_only_while_bits_remain(monkeypatch):
+    # Square-and-multiply: one product per set bit of k, one squaring per
+    # bit after the first, and no squaring after the last bit is read.
+    calls = []
+    real = Expr.__mul__
+    monkeypatch.setattr(Expr, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    e = u + x
+    for k in range(1, 10):
+        calls.clear()
+        e**k
+        assert len(calls) == k.bit_count() + k.bit_length() - 1
 def test_rational_coefficients_exact():
     e = Fraction(1, 3) * u + Fraction(1, 6) * u
     assert e == Fraction(1, 2) * u

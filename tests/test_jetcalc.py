@@ -20,7 +20,7 @@ from varjet.jetcalc import (
     total_derivative,
 )
 from varjet.multiindex import MultiIndex
-from varjet.randgen import rand_bundle, rand_morphism, rand_poly, rand_tower, rand_vertical_field
+from varjet.randgen import rand_morphism, rand_poly, rand_vertical_field
 from varjet.checks import fed_consistency, fed_squares_to_zero, naturality, total_derivatives_commute, chain_rule_on_sections
 
 B1 = BundleSpec(("x",), ("u",))
@@ -50,7 +50,7 @@ def test_total_derivative_rejects_unknown_symbols():
         total_derivative(du, "x", B1, 0, None)
 
 
-# -- the shift table: each bundle keeps the atoms its total derivatives shift to --
+# -- the shift memo: one table, keyed by (atom, direction, base) --
 
 
 def shifted_atoms(e, direction, bundle, r=0, s=None):
@@ -77,24 +77,30 @@ def test_shifts_follow_an_over_fiber_view():
 
 
 def test_the_shift_table_is_invisible():
-    empty, filled = BundleSpec(("x", "y"), ("u",)), BundleSpec(("x", "y"), ("u",))
-    total_derivative(u * x, "y", filled, 0, None)
-    total_derivative(u * u, "x", filled, 0, None)
-    assert filled._shifts and not empty._shifts
-    assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
-    assert pickle.dumps(filled) == pickle.dumps(empty)
-    copy = pickle.loads(pickle.dumps(filled))
-    assert copy == filled and not copy._shifts
+    # A bundle stays a plain value after total derivatives: the memo is not on it.
+    used = BundleSpec(("x", "y"), ("u",))
+    total_derivative(u * x, "y", used, 0, None)
+    total_derivative(u * u, "x", used, 0, None)
+    fresh = BundleSpec(("x", "y"), ("u",))
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(used)) == fresh
+
+
+def spy_on_jet_atom(monkeypatch):
+    calls = []
+    real = varjet.jetcalc.jet_atom
+    monkeypatch.setattr(varjet.jetcalc, "jet_atom", lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_a_repeated_total_derivative_builds_no_atom(monkeypatch):
+    varjet.jetcalc._shifted.cache_clear()
     bundle = BundleSpec(("x", "y"), ("u", "v"))
     ux_ = bundle.jet("u", MultiIndex.unit(bundle.base, "x"))
     dv = bundle.jet("v", MultiIndex.zero(bundle.base), vertical=True)
     e = u * sym("v") ** 2 + ux_ * dv + x * u
-    calls = []
-    real = varjet.jetcalc.jet_atom
-    monkeypatch.setattr(varjet.jetcalc, "jet_atom", lambda *args: calls.append(args) or real(*args))
+    calls = spy_on_jet_atom(monkeypatch)
     first = total_derivative(e, "y", bundle, 1, 0)
     assert len(calls) == 4  # u, v, u_x and dv each shift once
     calls.clear()
@@ -102,12 +108,19 @@ def test_a_repeated_total_derivative_builds_no_atom(monkeypatch):
     assert calls == [] and list(second._terms.items()) == list(first._terms.items())
 
 
-def test_random_draws_share_their_bundles():
-    # Property cases that draw the same bundle get one object, and so share
-    # its shift table.
-    a, b = Random(3), Random(3)
-    assert all(rand_bundle(a) is rand_bundle(b) for _ in range(20))
-    assert all(rand_tower(a) is rand_tower(b) for _ in range(20))
+def test_an_equal_bundle_builds_no_atom(monkeypatch):
+    # The memo is keyed by value, so a fresh view or an equal bundle built
+    # per call finds the atoms an earlier one shifted to.
+    varjet.jetcalc._shifted.cache_clear()
+    tower = BundleSpec(("x",), ("u",), ("w", "z"))
+    e = sym("w") * sym("z") * u
+    calls = spy_on_jet_atom(monkeypatch)
+    first = total_derivative(e, "u", tower.over_fiber(), 0, None)
+    assert len(calls) == 2  # w and z each shift once
+    calls.clear()
+    assert total_derivative(e, "u", tower.over_fiber(), 0, None) == first
+    assert total_derivative(e, "u", BundleSpec(("x", "u"), ("w", "z")), 0, None) == first
+    assert calls == []
 
 
 def test_holonomic_prolongation_identity_at_zero():

@@ -346,7 +346,7 @@ def test_eval_jet_reads_the_grid_memo(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("point", [(5,), (5, 5, 5), (5.0, 5)])
+@pytest.mark.parametrize("point", [(5,), (5, 5, 5), (5.0, 5), (True, 5), 5])
 def test_eval_jet_rejects_a_malformed_point(point, monkeypatch):
     s = sample_section(B2, ((0.0, 1.0),) * 2, (11, 11), {"u": lambda x, y: x * y})
     calls = count_evaluations(monkeypatch)

@@ -323,4 +323,4 @@ def test_check_operator_order_matches_depth_first_walk(data, source, k, matched)
     report = check_operator_order(f, g, k, point)
     assert (report.precondition_met, report.conclusion_holds) == ref_check_operator_order(f, g, k, point)
     if matched:
-        assert report.holds
+        assert report.precondition_met and report.conclusion_holds

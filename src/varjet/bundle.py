@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from math import comb
 
-from .expr import Expr, Sym
+from .expr import Expr, Sym, _Atom
 from .multiindex import MultiIndex, indices_up_to
 
 
@@ -25,15 +25,15 @@ class CoordinateError(ValueError):
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
 
 
-class JetCoord(str):
+class JetCoord(_Atom):
     """A jet coordinate of some fiber symbol, or its vertical companion.
 
     ``alpha`` ranges over the base names of the bundle view.  Positional
     coordinates with an empty multi-index are represented by plain ``Sym``
     atoms instead, so only ``alpha.order >= 1`` or vertical atoms occur.
 
-    Like :class:`~varjet.expr.Sym`, a ``str`` whose value is a canonical
-    identity: ``"\\x01"``, ``v`` or ``p``, the fiber, ``"\\x00"``, the
+    An atom like :class:`~varjet.expr.Sym`, whose identity is
+    ``"\\x01"``, ``v`` or ``p``, the fiber, ``"\\x00"``, the
     exponents joined by ``,``, ``"\\x00"`` and the base names joined by
     ``"\\x1f"``.  Names match ``[A-Za-z][A-Za-z0-9]*``, so the value is
     injective in ``(fiber, alpha, vertical)``.
@@ -51,13 +51,6 @@ class JetCoord(str):
         d["_key"] = (1, int(vertical), fiber, alpha.sort_key(), alpha.names)
         d["_label"] = None  # rendered on the first label() call
         return self
-
-    __setattr__ = Sym.__setattr__
-    __delattr__ = Sym.__delattr__
-    __str__ = Sym.__str__
-    __repr__ = Sym.__repr__
-    __format__ = Sym.__format__
-    sort_key = Sym.sort_key
 
     def __reduce__(self):
         return (JetCoord, (self.fiber, self.alpha, self.vertical))

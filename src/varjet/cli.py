@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Usage: ``varjet <command> <specfile...> [flags]`` with commands
+Usage: ``varjet <command> [flags] <specfile...> [flags]`` with commands
 
 * ``el``       Euler-Lagrange components and projectability report
 * ``fed``      formal exterior differential of a named morphism
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     payloads = []
     try:
-        args = _build_argparser().parse_args(argv)
+        args = _build_argparser().parse_intermixed_args(argv)
         expr_fn, form_fn = (expr_latex, form_latex) if args.latex else (str, form_text)
 
         def emit(payload: dict) -> None:

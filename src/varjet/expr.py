@@ -19,7 +19,6 @@ sound for zero testing but incomplete: ``sin(u)**2 + cos(u)**2 - 1`` does
 not reduce to zero.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -42,36 +41,25 @@ def _exact(value) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-class Sym(str):
-    """A plain coordinate symbol, identified by name.
+class _Atom(str):
+    """The protocol every atom kind shares.
 
-    Coordinate atoms are ``str`` subclasses whose string value is a
-    canonical identity (here ``"\\x00" + name``; no parsed name holds a
-    control character), so they hash and compare as strings, in C.  That
-    value is never output: ``str``, ``repr`` and ``format`` give
-    :meth:`label`, and a pickled atom is rebuilt from its public fields.
+    An atom is a ``str`` whose string value is a canonical identity, so
+    atoms hash and compare as strings, in C.  Each kind's identity opens
+    with its own control character (``"\\x00"`` for :class:`Sym`,
+    ``"\\x01"`` for jet coordinates, ``"\\x02"`` for :class:`FuncAtom`);
+    no parsed name holds one, so kinds never collide.  That value is never
+    output: ``str``, ``repr`` and ``format`` give :meth:`label`, and each
+    kind's ``__reduce__`` rebuilds a pickled atom from its public fields.
     """
-
-    def __new__(cls, name: str):
-        self = str.__new__(cls, "\x00" + name)
-        d = self.__dict__
-        d["name"] = name
-        d["_key"] = (0, name)
-        return self
 
     def __setattr__(self, *_):
         raise AttributeError("atoms are immutable")
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):
-        return (Sym, (self.name,))
-
     def sort_key(self) -> tuple:
         return self._key
-
-    def label(self) -> str:
-        return self.name
 
     def __str__(self) -> str:
         return self.label()
@@ -82,50 +70,62 @@ class Sym(str):
         return format(self.label(), spec)
 
 
-@dataclass(frozen=True, slots=True)
-class FuncAtom:
+class Sym(_Atom):
+    """A plain coordinate symbol, identified by name: ``"\\x00" + name``."""
+
+    def __new__(cls, name: str):
+        self = str.__new__(cls, "\x00" + name)
+        d = self.__dict__
+        d["name"] = name
+        d["_key"] = (0, name)
+        return self
+
+    def __reduce__(self):
+        return (Sym, (self.name,))
+
+    def label(self) -> str:
+        return self.name
+
+
+def _spelling(e: "Expr") -> str:
+    """An argument in a function identity: its terms, sorted and joined by ``"\\x1e"``, each
+    a coefficient and then per factor ``"\\x02"``, the atom's identity, ``"\\x03"`` and the exponent."""
+    terms = [str(c) + "".join(["\x02" + a + "\x03" + str(k) for a, k in m]) for m, c in e._terms.items()]
+    return "\x1e".join(sorted(terms))
+
+
+class FuncAtom(_Atom):
     """Application of an elementary or formal function symbol.
 
     ``derivs`` counts formal partial derivatives per argument slot; it stays
     all-zero for the built-in functions, whose derivatives have closed forms.
+
+    The identity is ``"\\x02"``, ``func``, ``"\\x00"``, the ``derivs`` joined
+    by ``,``, ``"\\x1f"`` before each argument's spelling, and ``"\\x03"``; it
+    is injective at any nesting, since only function identities hold these
+    brackets, balanced.  It and the text label, both built here, read only
+    what the argument atoms already carry: no call recurses per level.
     """
 
-    func: str
-    args: tuple
-    derivs: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
-    # Rendered on the first label() call; never pickled (see __reduce__).
-    _label: str | None = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        if len(self.derivs) != len(self.args):
+    def __new__(cls, func: str, args: tuple, derivs: tuple[int, ...]):
+        if len(derivs) != len(args):
             raise ValueError("one derivative count per argument required")
-        if self.func in _BUILTIN_FUNCS and any(self.derivs):
-            raise ValueError(f"{self.func} has closed-form derivatives")
-        object.__setattr__(self, "_hash", hash((self.func, self.args, self.derivs)))
-        object.__setattr__(self, "_key", (2, self.func, self.derivs, tuple(a.sort_key() for a in self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        if func in _BUILTIN_FUNCS and any(derivs):
+            raise ValueError(f"{func} has closed-form derivatives")
+        spelled = "".join(["\x1f" + _spelling(a) for a in args])
+        self = str.__new__(cls, "\x02" + func + "\x00" + ",".join(map(str, derivs)) + spelled + "\x03")
+        d = self.__dict__
+        d["func"], d["args"], d["derivs"] = func, args, derivs
+        d["_key"] = (2, func, derivs, tuple(a.sort_key() for a in args))
+        from .render import _func_text  # render imports this module
+        d["_label"] = _func_text(self)
+        return self
 
     def __reduce__(self):
         return (FuncAtom, (self.func, self.args, self.derivs))
 
-    def sort_key(self) -> tuple:
-        return self._key
-
     def label(self) -> str:
-        if self._label is None:
-            object.__setattr__(self, "_label", self._render())
         return self._label
-
-    def _render(self) -> str:
-        from .render import _func_text  # render imports this module
-        return _func_text(self)
-
-    def __repr__(self) -> str:
-        return self.label()
 
 
 def _mono_key(mono: Monomial) -> tuple:

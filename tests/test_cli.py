@@ -111,6 +111,28 @@ def test_nesting_below_the_limit_still_runs(tmp_path, capsys):
     assert "E_u = 0" in out
 
 
+def constant_nest(tmp_path) -> tuple[str, str]:
+    """A declaration file whose density is sin(...sin(1)...)*u_x^2, nested to
+    the parser's limit, and the text label of the nest."""
+    label = "sin(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    spec = tmp_path / "nest.vspec"
+    spec.write_text(f"[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = {label}*u_x^2 dx[1]\n")
+    return str(spec), label
+
+
+@pytest.mark.parametrize("fmt", [[], ["--latex"], ["--json"]])
+def test_a_function_nest_at_the_parser_limit_runs(tmp_path, capsys, fmt):
+    path, label = constant_nest(tmp_path)
+    code, out, err = run(capsys, "el", path, *fmt)
+    assert code == 0 and err == ""
+    assert "Traceback" not in out
+    if fmt == ["--latex"]:
+        label = r"\sin\left(" * MAX_NESTING + "1" + r"\right)" * MAX_NESTING
+    assert label in out
+    if fmt == ["--json"]:
+        assert json.loads(out)["components"][0]["expr"] == f"-2*u_xx*{label}"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "el", "no_such_file.vspec")
     assert code == 1 and err
@@ -407,6 +429,18 @@ def test_a_task_line_error_in_a_multi_file_run_names_its_file(tmp_path, capsys, 
     bad.write_text(LINE + "lagrangian L = u_x^2 dx[1]\n\n[task]\nel M\n")
     code, out, err = run(capsys, command, good, str(bad))
     assert code == 1 and err == f"error: {bad}:8:1: no definition named 'M'\n"
+
+
+def test_flags_may_come_before_between_and_after_the_files(capsys):
+    a, b = str(SPECS / "harmonic_oscillator.vspec"), str(SPECS / "dirichlet2d.vspec")
+    after = run(capsys, "el", a, b, "--json")
+    assert after[0] == 0 and after[2] == ""
+    assert run(capsys, "el", "--json", a, b) == after
+    assert run(capsys, "el", a, "--json", b) == after
+    code, out, err = run(capsys, "check", "--seed", "3", a)
+    assert code == 0 and err == ""
+    assert f"{a}: el L" in out and "summary:" in out
+    one_line_error(*run(capsys, "el", "--latex", a, "--json"))
 
 
 def test_latex_and_json_are_exclusive(capsys):

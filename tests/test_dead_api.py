@@ -5,6 +5,12 @@ function or class, or a public method of a module-level class, must be in
 ``varjet.__all__`` or be read, as a name, an attribute or a ``from`` import,
 in some ``src/varjet/*.py`` other than ``__init__.py``, in ``bench/*.py`` or
 in ``scripts/*.py``.  Tests are not callers: API that only tests read is dead.
+
+A read names an attribute, not its class, so a method name that several
+classes define counts as read on all of them once any one is read.  Every
+such name is listed in ``SHARED`` with the classes that define it, after a
+check that each of them is read on its own class; a new shared name, or a
+new class behind a listed one, fails until it is checked and listed.
 """
 
 import ast
@@ -21,6 +27,16 @@ CALLERS += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "scripts").glo
 EXEMPT = {
     "jet_coordinate_count": "closed-form reference that tests check enumerate_jet_coordinates against",
     "fiberwise_coordinate_count": "closed-form reference that tests check enumerate_fiberwise_coordinates against",
+}
+
+# Public method names defined by two or more classes, each read on every class listed.
+SHARED = {
+    "label": {"Sym", "JetCoord", "FuncAtom", "FiberwiseCoord"},
+    "sort_key": {"_Atom", "Expr", "MultiIndex"},
+    "is_zero": {"Expr", "Form"},
+    "zero": {"MultiIndex", "Form"},
+    "scale": {"Form", "Lagrangian"},
+    "degree": {"Morphism", "Lagrangian"},
 }
 
 
@@ -60,8 +76,23 @@ def dead_api() -> list[str]:
     ]
 
 
+def method_owners(sources) -> dict[str, set[str]]:
+    """``{method name: the classes that define it}`` over ``sources``."""
+    owners: dict[str, set[str]] = {}
+    for source in sources:
+        for qualified, name in public_definitions(source):
+            if "." in qualified:
+                owners.setdefault(name, set()).add(qualified.split(".")[0])
+    return owners
+
+
 def test_no_dead_api():
     assert dead_api() == []
+
+
+def test_shared_method_names_are_listed():
+    owners = method_owners(module.read_text() for module in sorted(SRC.glob("*.py")))
+    assert {name: classes for name, classes in owners.items() if len(classes) > 1} == SHARED
 
 
 def test_the_scan_sees_methods_functions_and_reads():
@@ -73,3 +104,5 @@ def test_the_scan_sees_methods_functions_and_reads():
     assert {"A", "used"} <= names_read(source) and "unused" not in names_read(source)
     assert {"x", "y"} <= names_read("from m import x, y\n")
     assert "z" not in names_read("z = 1\nobj.z = 2\n")
+    shared = source + "class B:\n    def used(self):\n        pass\n"
+    assert method_owners([shared]) == {"used": {"A", "B"}, "unused": {"A"}}

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from varjet.expr import (
     sym,
 )
 from varjet.multiindex import MultiIndex
+from varjet.parser import MAX_NESTING
+from varjet.render import expr_latex
 
 x, y, u, v = sym("x"), sym("y"), sym("u"), sym("v")
 X, Y, U, V = Sym("x"), Sym("y"), Sym("u"), Sym("v")
@@ -266,3 +269,19 @@ def test_structural_immutability():
         e._terms = {}
     with pytest.raises(AttributeError):
         e.anything = 1
+
+
+def test_a_function_nest_at_the_parser_limit():
+    # each label is spelled once, from the labels one level down
+    e = u
+    for _ in range(MAX_NESTING):
+        e = sin(e)
+    text = "sin(" * MAX_NESTING + "u" + ")" * MAX_NESTING
+    assert str(e) == repr(e) == text
+    assert expr_latex(e) == r"\sin\left(" * MAX_NESTING + "u" + r"\right)" * MAX_NESTING
+    rebuilt = u
+    for _ in range(MAX_NESTING):
+        rebuilt = sin(rebuilt)
+    assert rebuilt == e and hash(rebuilt) == hash(e)
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and hash(copy) == hash(e) and str(copy) == text

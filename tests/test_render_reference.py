@@ -8,6 +8,11 @@ Those walks are kept below as the reference.  One term walk and one form
 walk now serve both notations, so every atom kind, coefficient kind and
 form degree must still spell byte for byte as it did.  The spec corpus
 reaches few of these branches; the golden files alone do not pin them.
+
+The text speller ``render._func_text`` now runs once, when a ``FuncAtom``
+is built, and reads only the labels its arguments' atoms already carry;
+``JetCoord._render`` still runs on the first ``label()`` call.  The
+reference spells every nested label again, top down.
 """
 
 from fractions import Fraction
@@ -235,8 +240,10 @@ def test_atoms_spell_as_the_reference(e):
     for a in atoms_of(e):
         assert _atom_latex(a) == ref_atom_latex(a)
         assert str(a) == a.label() == ref_label(a)
-        if not isinstance(a, Sym):
+        if isinstance(a, JetCoord):
             assert a._render() == ref_label(a)
+        elif isinstance(a, FuncAtom):  # spelled once, when the atom is built
+            assert a._label == FuncAtom(a.func, a.args, a.derivs)._label == ref_label(a)
 
 
 def test_every_atom_branch_is_drawn():

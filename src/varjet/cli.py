@@ -19,6 +19,7 @@ import json
 import sys
 import warnings
 from contextlib import contextmanager
+from functools import cache
 
 from .bundle import CoordinateError, OrderError
 from .fiberwise import check_functional_commutation, fiberwise_jet
@@ -35,7 +36,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     ap = _ArgumentParser(prog="varjet", description="variational calculus on jet bundles")
     ap.add_argument("command", choices=TASK_KINDS)
     ap.add_argument("paths", nargs="*", default=[], help="declaration files")
@@ -45,6 +48,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
     ap.add_argument("--tolerance", type=float, default=None, help="override the numeric tolerances")
     ap.add_argument("--grid", type=int, default=None, help="grid points per axis for the numeric checks")
+    # The text ``parse_intermixed_args`` would format on every call.
+    ap.usage = ap.format_usage()[len("usage: ") :]
     return ap
 
 

@@ -502,27 +502,65 @@ def _chain_partials(f: FuncAtom, accept, admitted: dict) -> list:
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
-    """Simultaneously replace bound atoms, recursing into function arguments."""
+    """Simultaneously replace bound atoms, recursing into function arguments.
+
+    The terms go straight into one dict, with the terms and term order of
+    summing the products ``coeff * image(a) ** k * ...`` one term at a time.
+    Each atom's image and each ``image ** k`` are built once per call.  A
+    power that is one monomial folds into the term's monomial and
+    coefficient: a product by one monomial maps terms one to one, in order,
+    so it commutes with the other factors.  Only the powers of several terms
+    are multiplied out, in the order of the term's factors.
+    """
     if not bindings:
         return e
-
-    def term(mono: Monomial, coeff: Fraction) -> Expr:
-        out = Expr.const(coeff)
-        for a, k in mono:
-            out = out * (_substitute_atom(a, bindings) ** k)
-        return out
-
-    return sum_exprs(term(mono, coeff) for mono, coeff in e._terms.items())
+    return _substituted(e, bindings, {}, {})
 
 
-def _substitute_atom(a, bindings: Mapping) -> Expr:
+def _substituted(e: Expr, bindings: Mapping, images: dict, powers: dict) -> Expr:
+    """``substitute``, with its memos: ``images`` maps an atom to its image,
+    or to ``None`` when the bindings leave it unchanged, and ``powers`` maps
+    a factor ``(a, k)`` to ``image(a) ** k``, or to ``None``."""
+    out: dict = {}
+    for mono, coeff in e._terms.items():
+        kept = []  # the unchanged factors, a sorted monomial
+        folds = []  # the monomials of one-monomial powers
+        sums = []  # the other powers
+        c = coeff
+        for factor in mono:
+            if factor not in powers:
+                a, k = factor
+                if a not in images:
+                    images[a] = _image(a, bindings, images, powers)
+                powers[factor] = None if images[a] is None else images[a] ** k
+            p = powers[factor]
+            if p is None:
+                kept.append(factor)
+            elif len(p._terms) == 1:
+                ((m2, c2),) = p._terms.items()
+                folds.append(m2)
+                c = c * c2
+            else:
+                sums.append(p)
+        m = tuple(kept)
+        for m2 in folds:
+            m = _mono_mul(m, m2)
+        term = Expr._frozen({m: c if type(c) is int else _exact(c)})
+        for p in sums:
+            term = term * p
+        _add_terms(out, term._terms.items())
+    return Expr._frozen(out)
+
+
+def _image(a, bindings: Mapping, images: dict, powers: dict):
+    """The image of atom ``a``, or ``None`` when the bindings leave it unchanged."""
     if a in bindings:
         return _coerce(bindings[a])
     if isinstance(a, FuncAtom):
-        new_args = tuple(substitute(arg, bindings) for arg in a.args)
+        new_args = tuple(_substituted(arg, bindings, images, powers) for arg in a.args)
         if new_args != a.args:
             return Expr.atom(FuncAtom(a.func, new_args, a.derivs))
-    return Expr.atom(a)
+    return None
 
 
 def evaluate(e: Expr, env: Mapping):

@@ -119,7 +119,7 @@ def check_operator_order(
 
     jf, jg = fiberwise_jet(f, k, 1), fiberwise_jet(g, k, 1)
     for coord in jf:
-        if substitute(jf[coord], point_bindings) != substitute(jg[coord], point_bindings):
+        if not substitute(jf[coord] - jg[coord], point_bindings).is_zero:
             return OperatorOrderReport(False, None, (coord,))
 
     hf, hg = associated_jet_map(f), associated_jet_map(g)
@@ -132,7 +132,7 @@ def check_operator_order(
 
     for slot in sorted(hf, key=lambda t: (t[0], t[1].sort_key())):
         for gamma, (ef, eg) in graded_tower(fiber_directions, k, (hf[slot], hg[slot]), step).items():
-            if substitute(ef, point_bindings) != substitute(eg, point_bindings):
+            if not substitute(ef - eg, point_bindings).is_zero:
                 return OperatorOrderReport(True, False, (slot, gamma.order))
     return OperatorOrderReport(True, True)
 

@@ -6,6 +6,7 @@ a tuple of repeated directions.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator
 
@@ -72,12 +73,26 @@ def indices_of_order(names: tuple[str, ...], order: int) -> Iterator[MultiIndex]
         yield MultiIndex(names, tuple(exps))
 
 
-def indices_up_to(names: tuple[str, ...], max_order: int) -> list[MultiIndex]:
-    """All multi-indices with total order <= max_order, in graded-lex order."""
-    out: list[MultiIndex] = []
-    for k in range(max_order + 1):
-        out.extend(indices_of_order(names, k))
-    return out
+@cache
+def indices_up_to(names: tuple[str, ...], max_order: int) -> tuple[MultiIndex, ...]:
+    """All multi-indices with total order <= max_order, in graded-lex order,
+    built once per ``(names, max_order)``."""
+    return tuple(alpha for k in range(max_order + 1) for alpha in indices_of_order(names, k))
+
+
+@cache
+def _tower_steps(names: tuple[str, ...], max_order: int) -> tuple[tuple[int, str, int], ...]:
+    """``(position of alpha - e_i, names[i], |alpha|)`` for every nonzero
+    alpha of ``indices_up_to(names, max_order)``, in that order, with i the
+    first coordinate whose exponent in alpha is nonzero."""
+    indices = indices_up_to(names, max_order)
+    position = {alpha.exponents: n for n, alpha in enumerate(indices)}
+    steps = []
+    for alpha in indices[1:]:
+        e = alpha.exponents
+        i = next(i for i, x in enumerate(e) if x)
+        steps.append((position[e[:i] + (e[i] - 1,) + e[i + 1 :]], names[i], alpha.order))
+    return tuple(steps)
 
 
 def graded_tower(names: tuple[str, ...], max_order: int, seed, step: Callable) -> dict[MultiIndex, object]:
@@ -86,14 +101,10 @@ def graded_tower(names: tuple[str, ...], max_order: int, seed, step: Callable) -
 
     The zero index holds ``seed``.  Every other alpha is one step from the
     entry below it: ``step(entry[alpha - e_i], names[i], |alpha|)``, with i
-    the first coordinate whose exponent in alpha is nonzero.
+    the first coordinate whose exponent in alpha is nonzero.  The tower is
+    empty when ``max_order < 0``.
     """
-    tower = {}
-    for alpha in indices_up_to(names, max_order):
-        if alpha.order == 0:
-            tower[alpha] = seed
-            continue
-        i = next(i for i, e in enumerate(alpha.exponents) if e)
-        below = alpha.exponents[:i] + (alpha.exponents[i] - 1,) + alpha.exponents[i + 1 :]
-        tower[alpha] = step(tower[MultiIndex(names, below)], names[i], alpha.order)
-    return tower
+    entries = [seed]
+    for below, name, order in _tower_steps(names, max_order):
+        entries.append(step(entries[below], name, order))
+    return dict(zip(indices_up_to(names, max_order), entries))

@@ -187,6 +187,41 @@ def test_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_the_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # A stand-in for the property suite, whose one line names the seed the
+    # parse gave it.
+    monkeypatch.setattr(checks, "run_all", lambda seed, grids: [checks.CheckResult(f"seed {seed}", True, 1, "")])
+    spec = str(SPECS / "harmonic_oscillator.vspec")
+    sequence = [
+        ["el", spec, "--latex"],
+        ["el", "--json", spec],
+        ["check", "--seed", "7"],
+        ["el", spec, "--bogus"],
+        ["check"],
+        ["el", spec],
+    ]
+    alone = []
+    for argv in sequence:
+        cli._build_argparser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._build_argparser.cache_clear()
+    assert [run(capsys, *argv) for argv in sequence] == alone
+    one_line_error(*alone[3])
+    assert "seed 7  PASS" in alone[2][1] and "seed 0  PASS" in alone[4][1]
+
+    # --help prints what a new parser prints when the intermixed parse
+    # formats its usage on the spot.
+    fresh = cli._build_argparser.__wrapped__()
+    fresh.usage = None
+    with pytest.raises(SystemExit):
+        fresh.parse_intermixed_args(["--help"])
+    expected = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
 ORACLE_1D = str(SPECS / "harmonic_oscillator.vspec")
 ORACLE_2D = str(SPECS / "dirichlet2d.vspec")
 

@@ -348,3 +348,105 @@ def test_entry_points_store_integral_values_as_int():
     assert type(Expr.const(2.5)._terms[()]) is Fraction
     assert list(Expr.atom(Sym("u"))._terms.values()) == [1]
     assert type(next(iter((Expr.const(Fraction(1, 3)) * Expr.atom(Sym("u"))).inverse()._terms.values()))) is int
+
+
+# -- substitution ------------------------------------------------------------------
+
+
+def ref_substitute(e: Expr, bindings) -> Expr:
+    """The per-term product: ``const(coeff) * image(a) ** k * ...`` per term,
+    the terms summed by ``sum_exprs``."""
+    if not bindings:
+        return e
+
+    def image(a) -> Expr:
+        if a in bindings:
+            return bindings[a]
+        if isinstance(a, FuncAtom):
+            new_args = tuple(ref_substitute(arg, bindings) for arg in a.args)
+            if new_args != a.args:
+                return Expr.atom(FuncAtom(a.func, new_args, a.derivs))
+        return Expr.atom(a)
+
+    def term(mono, coeff) -> Expr:
+        out = Expr.const(coeff)
+        for a, k in mono:
+            out = out * image(a) ** k
+        return out
+
+    return sum_exprs(term(mono, coeff) for mono, coeff in e._terms.items())
+
+
+def spelled(e: Expr) -> list:
+    """Every term of ``e`` in order with its coefficient's type, function
+    arguments spelled the same way: equal exactly when the two expressions
+    agree term for term, in term order, at every nesting level."""
+
+    def atom(a):
+        if isinstance(a, FuncAtom):
+            return (a.func, a.derivs, tuple(spelled(arg) for arg in a.args))
+        return a
+
+    return [(tuple((atom(a), k) for a, k in mono), c, type(c)) for mono, c in e._terms.items()]
+
+
+@st.composite
+def images(draw, atoms: list) -> Expr:
+    """A constant, zero, one monomial whose negative exponent may cancel an
+    atom of the expression, or a sum of several terms."""
+    kind = draw(st.sampled_from(["const", "zero", "monomial", "sum"]))
+    if kind == "const":
+        return Expr.const(Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3))))
+    if kind == "zero":
+        return Expr.const(0)
+    if kind == "monomial":
+        return draw(monomials()) * Expr.atom(draw(st.sampled_from(atoms))) ** -draw(st.integers(1, 2))
+    return draw(polys()) + draw(monomials())
+
+
+@given(exprs(), st.data())
+def test_substitute_matches_the_per_term_product(e, data):
+    # Bind atoms the expression holds: function atoms, replaced whole, and
+    # the atoms inside their arguments, so sin and formal atoms rebuild with
+    # changed arguments.
+    held = sorted(e.atoms(), key=lambda a: a.sort_key()) or ATOMS
+    bound = data.draw(st.lists(st.sampled_from(held), unique=True, max_size=4))
+    bindings = {a: data.draw(images(held)) for a in bound}
+    try:
+        ref = ref_substitute(e, bindings)
+    except ZeroDivisionError:  # a zero image under a negative exponent
+        with pytest.raises(ZeroDivisionError):
+            substitute(e, bindings)
+        return
+    assert spelled(substitute(e, bindings)) == spelled(ref)
+
+
+U, V, X, Y, Z = (Expr.atom(Sym(n)) for n in "uvxyz")
+
+
+@pytest.mark.parametrize(
+    "image_u, image_v",
+    [
+        (X + Y, X + Z),  # two sums in one term: the order of their product shows
+        (X + 1, X - 1),  # and the x terms of that product cancel
+        (X + Y, 2 * Z / U),  # a sum and a monomial that cancels u
+    ],
+)
+def test_substitute_multiplies_sums_in_factor_order(image_u, image_v):
+    bindings = {Sym("u"): image_u, Sym("v"): image_v}
+    e = 3 * U * V * X + V**2 * U - 2 * U * U * V + sin(U * V)
+    assert spelled(substitute(e, bindings)) == spelled(ref_substitute(e, bindings))
+
+
+def test_substitute_raises_on_a_zero_image_under_a_negative_exponent():
+    u, x = Sym("u"), Sym("x")
+    e = Expr.atom(x) + Expr.atom(x) * Expr.atom(u) ** -2
+    with pytest.raises(ZeroDivisionError):
+        substitute(e, {u: Expr.const(0)})
+    with pytest.raises(ZeroDivisionError):  # even where another factor of the term is zero
+        substitute(e, {x: Expr.const(0), u: Expr.const(0)})
+
+
+def test_substitute_without_bindings_returns_its_argument():
+    e = sin(Expr.atom(Sym("u"))) + 1
+    assert substitute(e, {}) is e

@@ -246,9 +246,33 @@ def test_graded_tower_order_and_steps(m, max_order):
 
     zero = MultiIndex.zero(names)
     tower = graded_tower(names, max_order, zero, step)
-    assert list(tower) == indices_up_to(names, max_order)
+    assert list(tower) == list(indices_up_to(names, max_order))
     assert all(alpha == entry for alpha, entry in tower.items())
     assert len(calls) == len(tower) - 1
+
+
+def test_index_lists_are_built_once():
+    names = ("a", "b")
+    once = indices_up_to(names, 3)
+    assert isinstance(once, tuple)
+    assert indices_up_to(("a", "b"), 3) is once
+
+
+def test_graded_tower_below_order_zero_is_empty():
+    def step(*_):
+        raise AssertionError("no entry to step from")
+
+    assert graded_tower(("a", "b"), -1, "seed", step) == {}
+
+
+@given(st.integers(1, 3))
+def test_graded_tower_at_order_zero_holds_the_seed(m):
+    names = ("a", "b", "c")[:m]
+
+    def step(*_):
+        raise AssertionError("no entry to step to")
+
+    assert graded_tower(names, 0, "seed", step) == {MultiIndex.zero(names): "seed"}
 
 
 @given(st.data(), st.integers(0, 1), st.sampled_from([None, 0, 1]), st.integers(0, 2))

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from math import comb
 
-from .expr import Expr, Sym, _Atom
+from .expr import Expr, Sym, _Atom, _enc
 from .multiindex import MultiIndex, indices_up_to
 
 
@@ -25,6 +25,9 @@ class CoordinateError(ValueError):
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
 
 
+_JETS: dict = {}  # (fiber, alpha.names, alpha.exponents, vertical) -> its JetCoord, for the process
+
+
 class JetCoord(_Atom):
     """A jet coordinate of some fiber symbol, or its vertical companion.
 
@@ -33,37 +36,25 @@ class JetCoord(_Atom):
     atoms instead, so only ``alpha.order >= 1`` or vertical atoms occur.
 
     An atom like :class:`~varjet.expr.Sym`, whose identity is
-    ``"\\x01"``, ``v`` or ``p``, the fiber, ``"\\x00"``, the
-    exponents joined by ``,``, ``"\\x00"`` and the base names joined by
-    ``"\\x1f"``.  Names match ``[A-Za-z][A-Za-z0-9]*``, so the value is
-    injective in ``(fiber, alpha, vertical)``.
+    ``_enc((1, int(vertical), fiber, alpha.sort_key(), alpha.names))``.
+    There is one ``JetCoord`` per value, spelled and labelled once.
     """
 
     def __new__(cls, fiber: str, alpha: MultiIndex, vertical: bool = False):
-        if alpha.order == 0 and not vertical:
-            raise ValueError("order-zero positional coordinates are plain symbols")
-        exponents, names = ",".join(map(str, alpha.exponents)), "\x1f".join(alpha.names)
-        self = str.__new__(cls, ("\x01v" if vertical else "\x01p") + fiber + "\x00" + exponents + "\x00" + names)
-        d = self.__dict__
-        d["fiber"] = fiber
-        d["alpha"] = alpha
-        d["vertical"] = vertical
-        d["_key"] = (1, int(vertical), fiber, alpha.sort_key(), alpha.names)
-        d["_label"] = None  # rendered on the first label() call
+        value = (fiber, alpha.names, alpha.exponents, vertical)
+        self = _JETS.get(value)
+        if self is None:
+            if alpha.order == 0 and not vertical:
+                raise ValueError("order-zero positional coordinates are plain symbols")
+            from .render import _jet_text  # render imports this module
+            self = str.__new__(cls, _enc((1, int(vertical), fiber, alpha.sort_key(), alpha.names)))
+            self.__dict__.update(fiber=fiber, alpha=alpha, vertical=vertical)
+            self.__dict__["_label"] = _jet_text(self)
+            _JETS[value] = self
         return self
 
     def __reduce__(self):
         return (JetCoord, (self.fiber, self.alpha, self.vertical))
-
-    def label(self) -> str:
-        label = self._label
-        if label is None:
-            label = self.__dict__["_label"] = self._render()
-        return label
-
-    def _render(self) -> str:
-        from .render import _jet_text  # render imports this module
-        return _jet_text(self)
 
 
 def jet_atom(fiber: str, alpha: MultiIndex, vertical: bool = False):

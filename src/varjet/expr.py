@@ -4,7 +4,10 @@ An :class:`Expr` is an immutable Laurent polynomial with rational
 coefficients over *atoms*.  Atoms are plain coordinate symbols
 (:class:`Sym`), jet coordinates (defined in :mod:`varjet.bundle`) and
 applications of elementary or formal function symbols (:class:`FuncAtom`).
-A coefficient is an ``int`` when its value is integral and a
+Each atom is a ``str`` whose value spells its key in an order-preserving
+encoding (:func:`_enc`), so one string is its identity and its place in
+the term order.  A monomial is a tuple of ``(atom, exponent)`` pairs sorted
+by atom.  A coefficient is an ``int`` when its value is integral and a
 :class:`~fractions.Fraction` otherwise; the two compare and hash alike, so
 the type never changes a result.
 Every arithmetic operation produces the canonical form directly: an
@@ -22,7 +25,7 @@ not reduce to zero.
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-Monomial = tuple  # tuple[tuple[atom, int], ...], sorted by atom sort key
+Monomial = tuple  # tuple[tuple[atom, int], ...], sorted by atom
 
 _BUILTIN_FUNCS = ("sin", "cos", "exp", "ln", "inv")
 
@@ -41,16 +44,44 @@ def _exact(value) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+_FLIP = str.maketrans("0123456789abcdef", "fedcba9876543210")
+_RESERVED = frozenset("\x00\x02\x04")  # the marks of _enc, which no name may hold
+_SYMS: dict = {}  # name -> its Sym, for the process
+
+
+def _enc(key) -> str:
+    """The order-preserving, prefix-free spelling of a key: two keys compare
+    as their spellings do.  An int is a length mark ``chr(0x8000 ± digits)``
+    (from 0x4000 digits on, ``chr(0x8000 ± 0x4000)`` and the signed length)
+    and its hex digits, complemented when negative; a name ends with
+    ``"\\x00"``; an atom spells as itself; a tuple puts ``"\\x04"`` before
+    each element and ``"\\x02"`` at its end, so a prefix sorts first."""
+    if type(key) is int:
+        digits = format(key, "x") if key >= 0 else format(-key, "x").translate(_FLIP)
+        size = len(digits) if key >= 0 else -len(digits)
+        if -0x4000 < size < 0x4000:
+            return chr(0x8000 + size) + digits
+        return chr(0xC000 if size > 0 else 0x4000) + _enc(size) + digits
+    if type(key) is tuple:
+        return "".join(["\x04" + _enc(v) for v in key]) + "\x02"
+    if isinstance(key, _Atom):
+        return key
+    if not _RESERVED.isdisjoint(key):
+        raise ValueError(f"name {key!r} holds a reserved control character")
+    return key + "\x00"
+
+
 class _Atom(str):
     """The protocol every atom kind shares.
 
-    An atom is a ``str`` whose string value is a canonical identity, so
-    atoms hash and compare as strings, in C.  Each kind's identity opens
-    with its own control character (``"\\x00"`` for :class:`Sym`,
-    ``"\\x01"`` for jet coordinates, ``"\\x02"`` for :class:`FuncAtom`);
-    no parsed name holds one, so kinds never collide.  That value is never
-    output: ``str``, ``repr`` and ``format`` give :meth:`label`, and each
-    kind's ``__reduce__`` rebuilds a pickled atom from its public fields.
+    An atom is a ``str`` whose string value is :func:`_enc` of its key, a
+    tuple that opens with the kind (0 for :class:`Sym`, 1 for jet
+    coordinates, 2 for :class:`FuncAtom`).  So atoms hash, compare for
+    equality and sort in C, by one string: the term order of monomials is
+    the order of their atoms' strings.  That value is never output:
+    ``str``, ``repr``, ``format`` and :meth:`label` give the text label,
+    spelled when the atom is built, and each kind's ``__reduce__`` rebuilds
+    a pickled atom from its public fields.
     """
 
     def __setattr__(self, *_):
@@ -58,40 +89,32 @@ class _Atom(str):
 
     __delattr__ = __setattr__
 
-    def sort_key(self) -> tuple:
-        return self._key
+    def label(self) -> str:
+        return self._label
 
-    def __str__(self) -> str:
-        return self.label()
-
-    __repr__ = __str__
+    __str__ = __repr__ = label
 
     def __format__(self, spec: str) -> str:
-        return format(self.label(), spec)
+        return format(self._label, spec)
 
 
 class Sym(_Atom):
-    """A plain coordinate symbol, identified by name: ``"\\x00" + name``."""
+    """A plain coordinate symbol, identified by name: ``_enc((0, name))``.
+    There is one ``Sym`` per name."""
 
     def __new__(cls, name: str):
-        self = str.__new__(cls, "\x00" + name)
-        d = self.__dict__
-        d["name"] = name
-        d["_key"] = (0, name)
+        self = _SYMS.get(name)
+        if self is None:
+            self = _SYMS[name] = str.__new__(cls, _enc((0, name)))
+            self.__dict__.update(name=name, _label=name)
         return self
 
     def __reduce__(self):
         return (Sym, (self.name,))
 
-    def label(self) -> str:
-        return self.name
 
-
-def _spelling(e: "Expr") -> str:
-    """An argument in a function identity: its terms, sorted and joined by ``"\\x1e"``, each
-    a coefficient and then per factor ``"\\x02"``, the atom's identity, ``"\\x03"`` and the exponent."""
-    terms = [str(c) + "".join(["\x02" + a + "\x03" + str(k) for a, k in m]) for m, c in e._terms.items()]
-    return "\x1e".join(sorted(terms))
+def _mono_key(mono: Monomial) -> tuple:
+    return (sum(e for _, e in mono), mono)
 
 
 class FuncAtom(_Atom):
@@ -100,11 +123,11 @@ class FuncAtom(_Atom):
     ``derivs`` counts formal partial derivatives per argument slot; it stays
     all-zero for the built-in functions, whose derivatives have closed forms.
 
-    The identity is ``"\\x02"``, ``func``, ``"\\x00"``, the ``derivs`` joined
-    by ``,``, ``"\\x1f"`` before each argument's spelling, and ``"\\x03"``; it
-    is injective at any nesting, since only function identities hold these
-    brackets, balanced.  It and the text label, both built here, read only
-    what the argument atoms already carry: no call recurses per level.
+    The identity is ``_enc((2, func, derivs, args))``, each argument spelled
+    as its terms ``((degree, monomial), numerator, denominator)`` in sorted
+    order, so equal arguments built in another term order spell alike.  It
+    and the text label, both built here, read only what the argument atoms
+    already carry: no call recurses per nesting level.
     """
 
     def __new__(cls, func: str, args: tuple, derivs: tuple[int, ...]):
@@ -112,25 +135,18 @@ class FuncAtom(_Atom):
             raise ValueError("one derivative count per argument required")
         if func in _BUILTIN_FUNCS and any(derivs):
             raise ValueError(f"{func} has closed-form derivatives")
-        spelled = "".join(["\x1f" + _spelling(a) for a in args])
-        self = str.__new__(cls, "\x02" + func + "\x00" + ",".join(map(str, derivs)) + spelled + "\x03")
+        spelled = tuple(
+            tuple(sorted([(_mono_key(m), c.numerator, c.denominator) for m, c in a._terms.items()])) for a in args
+        )
+        self = str.__new__(cls, _enc((2, func, derivs, spelled)))
         d = self.__dict__
         d["func"], d["args"], d["derivs"] = func, args, derivs
-        d["_key"] = (2, func, derivs, tuple(a.sort_key() for a in args))
         from .render import _func_text  # render imports this module
         d["_label"] = _func_text(self)
         return self
 
     def __reduce__(self):
         return (FuncAtom, (self.func, self.args, self.derivs))
-
-    def label(self) -> str:
-        return self._label
-
-
-def _mono_key(mono: Monomial) -> tuple:
-    deg = sum(e for _, e in mono)
-    return (deg, tuple((a._key, e) for a, e in mono))
 
 
 def _lowered(mono: Monomial, i: int, k: int) -> Monomial:
@@ -168,7 +184,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out = []
     i = j = 0
     na, nb = len(a), len(b)
-    ka, kb = a[0][0]._key, b[0][0]._key
+    ka, kb = a[0][0], b[0][0]
     while True:
         if ka < kb:
             out.append(a[i])
@@ -176,15 +192,15 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
             if i == na:
                 out.extend(b[j:])
                 break
-            ka = a[i][0]._key
+            ka = a[i][0]
         elif kb < ka:
             out.append(b[j])
             j += 1
             if j == nb:
                 out.extend(a[i:])
                 break
-            kb = b[j][0]._key
-        else:  # sort keys are unique per atom: the same atom on both sides
+            kb = b[j][0]
+        else:  # the same atom on both sides
             e = a[i][1] + b[j][1]
             if e:
                 out.append((a[i][0], e))
@@ -193,7 +209,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
             if i == na or j == nb:
                 out.extend(a[i:] if j == nb else b[j:])
                 break
-            ka, kb = a[i][0]._key, b[j][0]._key
+            ka, kb = a[i][0], b[j][0]
     return tuple(out)
 
 
@@ -270,9 +286,6 @@ class Expr:
                     if isinstance(a, FuncAtom):
                         stack.extend(a.args)
         return frozenset(found)
-
-    def sort_key(self) -> tuple:
-        return tuple((_mono_key(m), c.numerator, c.denominator) for m, c in self.terms())
 
     # -- arithmetic --------------------------------------------------------
 

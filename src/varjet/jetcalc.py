@@ -111,8 +111,8 @@ def total_derivative(e: Expr, direction: str, bundle: BundleSpec, r: int, s: int
     (r + 1, s + 1).
 
     The terms go straight into one dict: first the base partial's, then, for
-    each coordinate in sort-key order, its partial's monomials times the
-    shifted atom, with unchanged coefficients.  Terms and their order are
+    each coordinate in atom order, its partial's monomials times the shifted
+    atom, with unchanged coefficients.  Terms and their order are
     those of summing the products one ``+`` at a time.
     """
     if direction not in bundle.base:
@@ -123,7 +123,7 @@ def total_derivative(e: Expr, direction: str, bundle: BundleSpec, r: int, s: int
     # Every partial the formula needs, from one walk over the terms.
     parts = partials(e, lambda a: a == x or isinstance(a, JetCoord) or a.name in fiber)
     out = dict(parts.pop(x)._terms) if x in parts else {}
-    for a in sorted(parts, key=lambda a: a.sort_key()):
+    for a in sorted(parts):
         shift = ((_shifted(a, direction, bundle.base), 1),)
         _add_terms(out, ((_mono_mul(m, shift), c) for m, c in parts[a]._terms.items()))
     return Expr._frozen(out)
@@ -194,8 +194,9 @@ def formal_exterior_differential_direct(phi: Morphism) -> Morphism:
     zero = bundle.zero_index()
     value = Form.zero(phi.degree + 1, bundle.base)
     for i, name in enumerate(bundle.base, start=1):
-        # Each coordinate with its shift along ``name``, once per call.  Built
-        # here, not read from ``_shifted``'s memo: the routes share no atoms.
+        # Each coordinate with its shift along ``name``, once per call.  Found
+        # here, not read from ``_shifted``'s memo: the two routes share the
+        # interned atoms, never the memo.
         shifts = []
         for a in coords:
             if isinstance(a, Sym):

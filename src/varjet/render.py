@@ -12,8 +12,8 @@ from .forms import Form
 _LATEX_FUNCS = {"sin": r"\sin", "cos": r"\cos", "exp": r"\exp", "ln": r"\ln"}
 
 
-# -- atoms: plain text (a FuncAtom's spelled once when built, a JetCoord's on
-# its first label() call) beside LaTeX; a Sym is its name --
+# -- atoms: plain text (spelled once, when the atom is built) beside LaTeX; a
+# Sym is its name --
 
 
 def _jet_text(a: JetCoord) -> str:

@@ -111,26 +111,32 @@ def test_nesting_below_the_limit_still_runs(tmp_path, capsys):
     assert "E_u = 0" in out
 
 
-def constant_nest(tmp_path) -> tuple[str, str]:
-    """A declaration file whose density is sin(...sin(1)...)*u_x^2, nested to
-    the parser's limit, and the text label of the nest."""
-    label = "sin(" * MAX_NESTING + "1" + ")" * MAX_NESTING
-    spec = tmp_path / "nest.vspec"
-    spec.write_text(f"[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = {label}*u_x^2 dx[1]\n")
-    return str(spec), label
+def sin_nest(depth: int, inner: str) -> str:
+    return "sin(" * depth + inner + ")" * depth
 
 
 @pytest.mark.parametrize("fmt", [[], ["--latex"], ["--json"]])
 def test_a_function_nest_at_the_parser_limit_runs(tmp_path, capsys, fmt):
-    path, label = constant_nest(tmp_path)
-    code, out, err = run(capsys, "el", path, *fmt)
-    assert code == 0 and err == ""
-    assert "Traceback" not in out
-    if fmt == ["--latex"]:
-        label = r"\sin\left(" * MAX_NESTING + "1" + r"\right)" * MAX_NESTING
-    assert label in out
-    if fmt == ["--json"]:
-        assert json.loads(out)["components"][0]["expr"] == f"-2*u_xx*{label}"
+    # sin(...sin(1)...)*u_x^2 and sin(...sin(u)...)*u_x^2, nested to the
+    # parser's limit; the chain rule on the u nest multiplies MAX_NESTING
+    # cosines of nests of every depth below it.
+    for inner in ("1", "u"):
+        label = sin_nest(MAX_NESTING, inner)
+        spec = tmp_path / f"nest_{inner}.vspec"
+        spec.write_text(f"[bundle]\nbase = x\nfiber = u\n[define]\nlagrangian L = {label}*u_x^2 dx[1]\n")
+        code, out, err = run(capsys, "el", str(spec), *fmt)
+        assert code == 0 and err == ""
+        assert "Traceback" not in out
+        if fmt == ["--latex"]:
+            label = r"\sin\left(" * MAX_NESTING + inner + r"\right)" * MAX_NESTING
+        assert label in out
+        expected = f"-2*u_xx*{label}"
+        if inner == "u":
+            expected += " - u_x^2*" + "*".join(f"cos({sin_nest(k, inner)})" for k in range(MAX_NESTING))
+        if fmt == []:
+            assert f"E_u = {expected}\n" in out
+        if fmt == ["--json"]:
+            assert json.loads(out)["components"][0]["expr"] == expected
 
 
 def test_missing_file_exit_code(capsys):

@@ -31,8 +31,7 @@ EXEMPT = {
 
 # Public method names defined by two or more classes, each read on every class listed.
 SHARED = {
-    "label": {"Sym", "JetCoord", "FuncAtom", "FiberwiseCoord"},
-    "sort_key": {"_Atom", "Expr", "MultiIndex"},
+    "label": {"_Atom", "FiberwiseCoord"},
     "is_zero": {"Expr", "Form"},
     "zero": {"MultiIndex", "Form"},
     "scale": {"Form", "Lagrangian"},

@@ -42,7 +42,7 @@ def ref_mono_mul(a, b):
     for atom, e in b:
         merged[atom] = merged.get(atom, 0) + e
     items = [(atom, e) for atom, e in merged.items() if e != 0]
-    items.sort(key=lambda p: p[0].sort_key())
+    items.sort(key=lambda p: p[0])
     return tuple(items)
 
 
@@ -118,7 +118,7 @@ def ref_diff(terms: dict, c) -> dict:
 def ref_total_derivative(e: Expr, direction: str) -> dict:
     zero = BUNDLE.zero_index()
     out = ref_diff(e._terms, Sym(direction))
-    for a in sorted(e.atoms(), key=lambda a: a.sort_key()):
+    for a in sorted(e.atoms()):
         if isinstance(a, Sym) and a.name in BUNDLE.fiber:
             shifted = jet_atom(a.name, zero.incremented(direction))
         elif isinstance(a, JetCoord):
@@ -187,7 +187,7 @@ def test_total_derivative_matches_atom_by_atom_formula(e, direction):
 
 @given(exprs(), st.data())
 def test_diff_matches_reference(e, data):
-    c = data.draw(st.sampled_from(ATOMS + sorted(e.atoms(), key=lambda a: a.sort_key())))
+    c = data.draw(st.sampled_from(ATOMS + sorted(e.atoms())))
     assert same_terms(diff(e, c), ref_diff(e._terms, c))
 
 
@@ -409,7 +409,7 @@ def test_substitute_matches_the_per_term_product(e, data):
     # Bind atoms the expression holds: function atoms, replaced whole, and
     # the atoms inside their arguments, so sin and formal atoms rebuild with
     # changed arguments.
-    held = sorted(e.atoms(), key=lambda a: a.sort_key()) or ATOMS
+    held = sorted(e.atoms()) or ATOMS
     bound = data.draw(st.lists(st.sampled_from(held), unique=True, max_size=4))
     bindings = {a: data.draw(images(held)) for a in bound}
     try:

@@ -117,24 +117,18 @@ def labelled() -> list:
 def test_cached_labels_equal_fresh_ones():
     for atom, text in labelled():
         fresh = pickle.loads(pickle.dumps(atom))
-        if isinstance(atom, FuncAtom):  # spelled at construction, unpickling included
-            assert atom._label == text and fresh._label == text
-        else:  # spelled on the first label() call
-            assert atom._label is None and fresh._label is None
-            assert atom.label() == text == fresh._render()
-        assert atom._label == text and atom.label() is atom.label()
+        assert atom._label == text and fresh._label == text  # every kind, unpickling included
+        assert atom.label() is atom._label
 
 
 def test_rendered_atoms_equal_hash_and_pickle_like_fresh_ones():
     for atom, text in labelled():
-        atom.label()
         fresh = type(atom)(*atom.__reduce__()[1])
-        unread = text if isinstance(atom, FuncAtom) else None  # the label before any label() call
-        assert fresh._label == unread and atom._label == text
+        assert fresh._label == atom._label == text
         assert atom == fresh and hash(atom) == hash(fresh)
         assert repr(atom) == repr(fresh) == text
         copy = pickle.loads(pickle.dumps(atom))
-        assert copy._label == unread and copy == atom and hash(copy) == hash(atom)
+        assert copy._label == text and copy == atom and hash(copy) == hash(atom)
         assert text.encode() not in pickle.dumps(atom)
 
 

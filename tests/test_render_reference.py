@@ -9,10 +9,10 @@ walk now serve both notations, so every atom kind, coefficient kind and
 form degree must still spell byte for byte as it did.  The spec corpus
 reaches few of these branches; the golden files alone do not pin them.
 
-The text speller ``render._func_text`` now runs once, when a ``FuncAtom``
-is built, and reads only the labels its arguments' atoms already carry;
-``JetCoord._render`` still runs on the first ``label()`` call.  The
-reference spells every nested label again, top down.
+The text spellers ``render._func_text`` and ``render._jet_text`` now run
+once, when an atom is built; a function atom's reads only the labels its
+arguments' atoms already carry.  The reference spells every nested label
+again, top down.
 """
 
 from fractions import Fraction
@@ -225,7 +225,7 @@ MONOMIALS = st.builds(lambda q, a, k: q * a**k, COEFFS, LEAVES.filter(lambda a: 
 
 
 def atoms_of(e: Expr) -> list:
-    return sorted(e.atoms(), key=lambda a: a.sort_key())
+    return sorted(e.atoms())
 
 
 @given(st.one_of(EXPRS, MONOMIALS))
@@ -239,11 +239,9 @@ def test_expressions_spell_as_the_reference(e):
 def test_atoms_spell_as_the_reference(e):
     for a in atoms_of(e):
         assert _atom_latex(a) == ref_atom_latex(a)
-        assert str(a) == a.label() == ref_label(a)
-        if isinstance(a, JetCoord):
-            assert a._render() == ref_label(a)
-        elif isinstance(a, FuncAtom):  # spelled once, when the atom is built
-            assert a._label == FuncAtom(a.func, a.args, a.derivs)._label == ref_label(a)
+        assert str(a) == a.label() == a._label == ref_label(a)  # spelled once, when the atom is built
+        if isinstance(a, FuncAtom):
+            assert FuncAtom(a.func, a.args, a.derivs)._label == ref_label(a)
 
 
 def test_every_atom_branch_is_drawn():

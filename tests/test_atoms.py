@@ -147,10 +147,21 @@ def assert_follows(a, ra, b, rb) -> None:
 
 
 @given(atom_pairs(), atom_pairs())
-def test_atoms_follow_the_reference(p, q):
+def test_equality_and_hash_follow_the_reference(p, q):
     (a, ra), (b, rb) = p, q
-    assert_follows(a, ra, b, rb)
+    assert (a == b) == (ra == rb)
+    assert (a != b) == (ra != rb)
+    assert (hash(a) == hash(b)) == (ra == rb)
+    assert ({a: 1}.get(b) == 1) == (ra == rb)
+
+
+@given(atom_pairs(), atom_pairs())
+def test_sort_keys_follow_the_reference(p, q):
+    # Atoms carry no sort key of their own: the identity string is the key.
+    (a, ra), (b, rb) = p, q
     assert str.__str__(a) == _enc(ra._key)
+    assert (a < b) == (ra._key < rb._key)
+    assert (a > b) == (ra._key > rb._key)
 
 
 def test_near_misses_stay_apart():

@@ -15,7 +15,7 @@ from .bundle import BundleSpec, FiberwiseCoord, jet_atom
 from .expr import Expr, Sym, diff, substitute
 from .forms import exterior_derivative, substitute_form
 from .jetcalc import (
-    Morphism, formal_exterior_differential, partial_step, section_bindings, total_derivative, validate_total_space
+    Morphism, _total_derivatives, formal_exterior_differential, partial_step, section_bindings, validate_total_space
 )
 from .multiindex import MultiIndex, graded_tower, indices_up_to
 
@@ -59,8 +59,8 @@ def fiberwise_prolongation(f: BaseMorphism, r: int) -> dict[tuple[str, MultiInde
     return {(a, beta): value for beta, comps in tower.items() for a, value in comps.items()}
 
 
-def _partial(e: Expr, name: str, _order: int) -> Expr:
-    return diff(e, Sym(name))
+def _partial(e: Expr, names: tuple[str, ...], _order: int) -> list[Expr]:
+    return [diff(e, Sym(name)) for name in names]
 
 
 def fiberwise_jet(f: BaseMorphism, k: int, r: int) -> dict[FiberwiseCoord, Expr]:
@@ -84,8 +84,8 @@ def associated_jet_map(f: BaseMorphism) -> dict[tuple[str, MultiIndex], Expr]:
     out: dict[tuple[str, MultiIndex], Expr] = {}
     for a, comp in f.components.items():
         out[(a, zero)] = comp
-        for name in src.base:
-            out[(a, zero.incremented(name))] = total_derivative(comp, name, src, 0, None)
+        for name, derived in zip(src.base, _total_derivatives(comp, src.base, src, 0, None)):
+            out[(a, zero.incremented(name))] = derived
     return out
 
 
@@ -127,8 +127,8 @@ def check_operator_order(
     # Mixed partials commute, so one tower entry per multi-index suffices.
     fiber_directions = tuple(jet_atom(p, alpha) for p in src.fiber for alpha in indices_up_to(src.base, 1))
 
-    def step(pair: tuple[Expr, Expr], d, _order: int) -> tuple[Expr, Expr]:
-        return diff(pair[0], d), diff(pair[1], d)
+    def step(pair: tuple[Expr, Expr], ds: tuple, _order: int) -> list[tuple[Expr, Expr]]:
+        return [(diff(pair[0], d), diff(pair[1], d)) for d in ds]
 
     for slot in sorted(hf, key=lambda t: (t[0], t[1].sort_key())):
         for gamma, (ef, eg) in graded_tower(fiber_directions, k, (hf[slot], hg[slot]), step).items():

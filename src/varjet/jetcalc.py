@@ -113,20 +113,35 @@ def total_derivative(e: Expr, direction: str, bundle: BundleSpec, r: int, s: int
     The terms go straight into one dict: first the base partial's, then, for
     each coordinate in atom order, its partial's monomials times the shifted
     atom, with unchanged coefficients.  Terms and their order are
-    those of summing the products one ``+`` at a time.
+    those of summing the products one ``+`` at a time.  This is the
+    one-direction case of ``_total_derivatives``, which the towers call
+    with every direction at once.
     """
-    if direction not in bundle.base:
-        raise CoordinateError(f"{direction!r} is not a base coordinate")
+    return _total_derivatives(e, (direction,), bundle, r, s)[0]
+
+
+def _total_derivatives(e: Expr, directions: tuple[str, ...], bundle: BundleSpec, r: int, s: int | None) -> list[Expr]:
+    """``[total_derivative(e, d, bundle, r, s) for d in directions]``, with
+    ``e`` validated once and every partial taken in one walk over its terms:
+    the coordinate partials do not depend on the direction, only the shifted
+    atoms they multiply and the base partial do."""
+    for direction in directions:
+        if direction not in bundle.base:
+            raise CoordinateError(f"{direction!r} is not a base coordinate")
     validate_expression(e, bundle, r, s)
-    x = Sym(direction)
+    xs = {Sym(d) for d in directions}
     fiber = bundle.fiber
-    # Every partial the formula needs, from one walk over the terms.
-    parts = partials(e, lambda a: a == x or isinstance(a, JetCoord) or a.name in fiber)
-    out = dict(parts.pop(x)._terms) if x in parts else {}
-    for a in sorted(parts):
-        shift = ((_shifted(a, direction, bundle.base), 1),)
-        _add_terms(out, ((_mono_mul(m, shift), c) for m, c in parts[a]._terms.items()))
-    return Expr._frozen(out)
+    parts = partials(e, lambda a: a in xs or isinstance(a, JetCoord) or a.name in fiber)
+    coords = sorted(a for a in parts if a not in xs)
+    out = []
+    for direction in directions:
+        x = Sym(direction)
+        terms = dict(parts[x]._terms) if x in parts else {}
+        for a in coords:
+            shift = ((_shifted(a, direction, bundle.base), 1),)
+            _add_terms(terms, ((_mono_mul(m, shift), c) for m, c in parts[a]._terms.items()))
+        out.append(Expr._frozen(terms))
+    return out
 
 
 @cache
@@ -143,15 +158,18 @@ def holonomic_prolongation(phi: Morphism, k: int) -> dict[MultiIndex, Form]:
 
     Maps each multi-index beta with order <= k to the form whose
     coefficients are D_beta of the original ones; the beta-entry lives at
-    source orders (r + |beta|, s + |beta|).
+    source orders (r + |beta|, s + |beta|).  Each coefficient of an entry
+    with entries above it is walked once, by ``_total_derivatives``, for
+    all the directions that lead up from it.
     """
     if k < 0:
         raise ValueError("prolongation order must be non-negative")
     bundle = phi.bundle
 
-    def step(form: Form, name: str, order: int) -> Form:
+    def step(form: Form, names: tuple[str, ...], order: int) -> list[Form]:
         s = None if phi.s is None else phi.s + order - 1
-        return form.map_coeffs(lambda c: total_derivative(c, name, bundle, phi.r + order - 1, s))
+        derived = {key: _total_derivatives(c, names, bundle, phi.r + order - 1, s) for key, c in form.coeffs.items()}
+        return [Form(form.degree, form.names, {key: ds[j] for key, ds in derived.items()}) for j in range(len(names))]
 
     return graded_tower(bundle.base, k, phi.value, step)
 
@@ -187,11 +205,17 @@ def formal_exterior_differential_direct(phi: Morphism) -> Morphism:
     """Same operator assembled from the explicit coordinate formula.
 
     Iterates over the full enumerated coordinate list instead of the atoms
-    present, providing an independent implementation for cross-checks.
+    present, providing an independent implementation for cross-checks: it
+    takes every partial by ``diff``, never by ``partials``, and finds its own
+    shifted atoms.  Each coefficient's partial by each coordinate is taken
+    once, before the directions; a direction then adds only its base partial
+    and those partials times its shifted atoms.
     """
     bundle = phi.bundle
     coords = enumerate_jet_coordinates(bundle, phi.r, phi.s)
     zero = bundle.zero_index()
+    coeffs = phi.value.coeffs
+    parts = {key: [diff(c, a) for a in coords] for key, c in coeffs.items()}
     value = Form.zero(phi.degree + 1, bundle.base)
     for i, name in enumerate(bundle.base, start=1):
         # Each coordinate with its shift along ``name``, once per call.  Found
@@ -203,12 +227,13 @@ def formal_exterior_differential_direct(phi: Morphism) -> Morphism:
                 shifted = jet_atom(a.name, zero.incremented(name))
             else:
                 shifted = jet_atom(a.fiber, a.alpha.incremented(name), a.vertical)
-            shifts.append((a, Expr.atom(shifted)))
-
-        def d_i(c: Expr, name=name, shifts=shifts) -> Expr:
-            return sum_exprs([diff(c, Sym(name))] + [diff(c, a) * shifted for a, shifted in shifts])
-
-        value = value + wedge_basis_left(i, phi.value.map_coeffs(d_i))
+            shifts.append(Expr.atom(shifted))
+        x = Sym(name)
+        d_i = {
+            key: sum_exprs([diff(c, x)] + [d * shifted for d, shifted in zip(parts[key], shifts) if d._terms])
+            for key, c in coeffs.items()
+        }
+        value = value + wedge_basis_left(i, Form(phi.degree, bundle.base, d_i))
     return Morphism(bundle, phi.r + 1, None if phi.s is None else phi.s + 1, value)
 
 
@@ -218,12 +243,12 @@ def flow_prolongation(eta: VerticalField, s: int) -> dict[tuple[str, MultiIndex]
     if s < 0:
         raise ValueError("prolongation order must be non-negative")
     bundle = eta.bundle
-    tower = graded_tower(
-        bundle.base,
-        s,
-        eta.components,
-        lambda comps, name, order: {p: total_derivative(comps[p], name, bundle, order - 1, None) for p in bundle.fiber},
-    )
+
+    def step(comps: dict[str, Expr], names: tuple[str, ...], order: int) -> list[dict[str, Expr]]:
+        derived = {p: _total_derivatives(comps[p], names, bundle, order - 1, None) for p in bundle.fiber}
+        return [{p: ds[j] for p, ds in derived.items()} for j in range(len(names))]
+
+    tower = graded_tower(bundle.base, s, eta.components, step)
     return {(p, sigma): value for sigma, comps in tower.items() for p, value in comps.items()}
 
 
@@ -274,10 +299,10 @@ def check_naturality(phi: Morphism, eta: VerticalField, k: int) -> NaturalityRep
     return NaturalityReport(True)
 
 
-def partial_step(comps: dict[str, Expr], name: str, _order: int) -> dict[str, Expr]:
-    """One ``graded_tower`` step of a component map: every component
-    differentiated along the coordinate ``name``."""
-    return {p: diff(e, Sym(name)) for p, e in comps.items()}
+def partial_step(comps: dict[str, Expr], names: tuple[str, ...], _order: int) -> list[dict[str, Expr]]:
+    """One ``graded_tower`` step of a component map: for each coordinate of
+    ``names``, every component differentiated along it."""
+    return [{p: diff(e, Sym(name)) for p, e in comps.items()} for name in names]
 
 
 def section_bindings(

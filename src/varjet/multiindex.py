@@ -81,18 +81,22 @@ def indices_up_to(names: tuple[str, ...], max_order: int) -> tuple[MultiIndex, .
 
 
 @cache
-def _tower_steps(names: tuple[str, ...], max_order: int) -> tuple[tuple[int, str, int], ...]:
-    """``(position of alpha - e_i, names[i], |alpha|)`` for every nonzero
-    alpha of ``indices_up_to(names, max_order)``, in that order, with i the
-    first coordinate whose exponent in alpha is nonzero."""
+def _tower_steps(names: tuple[str, ...], max_order: int) -> tuple[tuple[int, tuple, tuple[int, ...], int], ...]:
+    """``(position of beta, successor names, their positions, their order)``
+    for every beta of ``indices_up_to(names, max_order)`` that has entries
+    above it, in that order.  The successors of beta are the alpha with
+    alpha - e_i = beta, i the first coordinate whose exponent in alpha is
+    nonzero; their names are those ``names[i]``, in tower order."""
     indices = indices_up_to(names, max_order)
     position = {alpha.exponents: n for n, alpha in enumerate(indices)}
-    steps = []
-    for alpha in indices[1:]:
+    groups: dict[int, tuple[list, list]] = {}
+    for n, alpha in enumerate(indices[1:], start=1):
         e = alpha.exponents
         i = next(i for i, x in enumerate(e) if x)
-        steps.append((position[e[:i] + (e[i] - 1,) + e[i + 1 :]], names[i], alpha.order))
-    return tuple(steps)
+        below = groups.setdefault(position[e[:i] + (e[i] - 1,) + e[i + 1 :]], ([], []))
+        below[0].append(names[i])
+        below[1].append(n)
+    return tuple((b, tuple(ns), tuple(ps), indices[b].order + 1) for b, (ns, ps) in sorted(groups.items()))
 
 
 def graded_tower(names: tuple[str, ...], max_order: int, seed, step: Callable) -> dict[MultiIndex, object]:
@@ -100,11 +104,15 @@ def graded_tower(names: tuple[str, ...], max_order: int, seed, step: Callable) -
     ``indices_up_to`` order.
 
     The zero index holds ``seed``.  Every other alpha is one step from the
-    entry below it: ``step(entry[alpha - e_i], names[i], |alpha|)``, with i
-    the first coordinate whose exponent in alpha is nonzero.  The tower is
-    empty when ``max_order < 0``.
+    entry below it, alpha - e_i, with i the first coordinate whose exponent
+    in alpha is nonzero.  Each entry with entries above it is stepped from
+    once: ``step(entry, successor_names, order)`` returns one entry per name
+    of ``successor_names`` (the ``names[i]`` of its successors, in tower
+    order), and ``order`` is their common order.  So a step can share work
+    across directions.  The tower is empty when ``max_order < 0``.
     """
-    entries = [seed]
-    for below, name, order in _tower_steps(names, max_order):
-        entries.append(step(entries[below], name, order))
+    entries = [seed] + [None] * (len(indices_up_to(names, max_order)) - 1)
+    for below, successor_names, positions, order in _tower_steps(names, max_order):
+        for n, entry in zip(positions, step(entries[below], successor_names, order), strict=True):
+            entries[n] = entry
     return dict(zip(indices_up_to(names, max_order), entries))

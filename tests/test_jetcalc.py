@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import varjet.expr
 import varjet.jetcalc
 from varjet.bundle import BundleSpec, CoordinateError, JetCoord, enumerate_jet_coordinates
 from varjet.expr import Expr, Sym, sym
@@ -182,6 +183,41 @@ def test_fed_direct_matches():
         s = rng.choice([None] + list(range(r + 1)))
         phi = rand_morphism(rng, bundle, r, s, rng.randint(0, 1))
         assert formal_exterior_differential(phi).value == formal_exterior_differential_direct(phi).value
+
+
+def dense_first_order_morphism() -> Morphism:
+    """Three coefficients at (r, s) = (1, 1) over three base and two fiber
+    coordinates: 16 enumerated coordinates."""
+    bundle = BundleSpec(("x", "y", "t"), ("u", "v"))
+    rng = Random(3)
+    atoms = enumerate_jet_coordinates(bundle, 1, 1) + [Sym(n) for n in bundle.base]
+    coeffs = {(i,): rand_poly(rng, atoms, 6, 3) for i in (1, 2, 3)}
+    return Morphism(bundle, 1, 1, Form(1, bundle.base, coeffs))
+
+
+def test_fed_direct_takes_each_coordinate_partial_once(monkeypatch):
+    phi = dense_first_order_morphism()
+    assert len(phi.value.coeffs) == 3 and len(enumerate_jet_coordinates(phi.bundle, 1, 1)) == 16
+    calls = []
+    real = varjet.jetcalc.diff
+    monkeypatch.setattr(varjet.jetcalc, "diff", lambda e, a: calls.append(a) or real(e, a))
+    formal_exterior_differential_direct(phi)
+    # per coefficient: 16 coordinate partials, then one base partial per direction
+    assert len(calls) == 3 * (16 + 3) == 57
+
+
+def test_fed_direct_shares_nothing_with_the_prolongation_route(monkeypatch):
+    phi = dense_first_order_morphism()
+    expected = formal_exterior_differential(phi)
+
+    def refuse(*_):
+        raise AssertionError("the direct route must not reach the prolongation route's helpers")
+
+    monkeypatch.setattr(varjet.expr, "partials", refuse)
+    for name in ("partials", "_total_derivatives", "_shifted"):
+        monkeypatch.setattr(varjet.jetcalc, name, refuse)
+    direct = formal_exterior_differential_direct(phi)
+    assert direct.value == expected.value and (direct.r, direct.s) == (expected.r, expected.s)
 
 
 def test_flow_prolongation_examples():

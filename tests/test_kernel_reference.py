@@ -14,10 +14,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from varjet.bundle import BundleSpec, JetCoord, jet_atom
+from varjet.bundle import BundleSpec, JetCoord, enumerate_jet_coordinates, jet_atom
 from varjet.expr import Expr, FuncAtom, Sym, cos, diff, exp, function, ln, partials, sin, substitute, sum_exprs
-from varjet.forms import Form
-from varjet.jetcalc import total_derivative
+from varjet.fiberwise import BaseMorphism, associated_jet_map
+from varjet.forms import Form, wedge_basis_left
+from varjet.jetcalc import Morphism, formal_exterior_differential_direct, holonomic_prolongation, total_derivative
 from varjet.multiindex import MultiIndex, indices_up_to
 from varjet.render import expr_latex, form_json
 
@@ -135,40 +136,41 @@ def ref_total_derivative(e: Expr, direction: str) -> dict:
 
 
 @st.composite
-def monomials(draw) -> Expr:
+def monomials(draw, atoms=ATOMS) -> Expr:
     coeff = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
     term = Expr.const(coeff)
-    for a in draw(st.lists(st.sampled_from(ATOMS), max_size=3)):
+    for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
         term = term * Expr.atom(a)
     if draw(st.booleans()):  # a Laurent factor
-        term = term * Expr.atom(draw(st.sampled_from(ATOMS))) ** -draw(st.integers(1, 2))
+        term = term * Expr.atom(draw(st.sampled_from(atoms))) ** -draw(st.integers(1, 2))
     return term
 
 
 @st.composite
-def polys(draw, max_terms=4) -> Expr:
-    return sum_exprs(draw(st.lists(monomials(), min_size=1, max_size=max_terms)))
+def polys(draw, max_terms=4, atoms=ATOMS) -> Expr:
+    return sum_exprs(draw(st.lists(monomials(atoms), min_size=1, max_size=max_terms)))
 
 
 @st.composite
-def functions_of(draw, inner) -> Expr:
+def functions_of(draw, inner, atoms=ATOMS) -> Expr:
     kind = draw(st.sampled_from(["sin", "cos", "exp", "ln", "inv", "formal"]))
     arg = draw(inner)
     if kind == "inv":  # a multi-term reciprocal stays an opaque atom
-        return 1 / (arg + draw(monomials()) + Expr.atom(draw(st.sampled_from(ATOMS))))
+        return 1 / (arg + draw(monomials(atoms)) + Expr.atom(draw(st.sampled_from(atoms))))
     if kind == "formal":  # arguments mix jet and vertical atoms
-        second = Expr.atom(draw(st.sampled_from(POSITIONAL[2:] + VERTICAL)))
-        return function(draw(st.sampled_from(["F", "G"])), arg, second * draw(monomials()))
+        second = Expr.atom(draw(st.sampled_from(POSITIONAL[2:] + VERTICAL if atoms is ATOMS else atoms)))
+        return function(draw(st.sampled_from(["F", "G"])), arg, second * draw(monomials(atoms)))
     return {"sin": sin, "cos": cos, "exp": exp, "ln": ln}[kind](arg)
 
 
 @st.composite
-def exprs(draw) -> Expr:
+def exprs(draw, atoms=ATOMS) -> Expr:
     """Polynomials whose terms may carry (nested) function atoms."""
-    e = draw(polys())
+    e = draw(polys(atoms=atoms))
     for _ in range(draw(st.integers(0, 3))):
-        f = draw(functions_of(st.one_of(polys(max_terms=3), functions_of(polys(max_terms=2)))))
-        e = e + draw(monomials()) * f ** draw(st.integers(1, 2))
+        inner = st.one_of(polys(max_terms=3, atoms=atoms), functions_of(polys(max_terms=2, atoms=atoms), atoms))
+        f = draw(functions_of(inner, atoms))
+        e = e + draw(monomials(atoms)) * f ** draw(st.integers(1, 2))
     return e
 
 
@@ -183,6 +185,87 @@ def same_terms(e: Expr, ref: dict) -> bool:
 @given(exprs(), st.sampled_from(BUNDLE.base))
 def test_total_derivative_matches_atom_by_atom_formula(e, direction):
     assert same_terms(total_derivative(e, direction, BUNDLE, R, S), ref_total_derivative(e, direction))
+
+
+# -- every direction from one walk ----------------------------------------------------
+#
+# The towers, the associated jet map and the direct fed route take every
+# direction's derivative from shared partials.  Each must agree, term order
+# and coefficient types included, with the per-direction formula: the base
+# partial by ``diff``, then each coordinate's partial times its shifted atom,
+# summed one ``+`` at a time (present coordinates in sorted order for the
+# total derivative, the enumerated ones in enumeration order for the direct
+# route).
+
+TOTAL_SPACE = [Sym(n) for n in BUNDLE.base + BUNDLE.fiber]
+
+
+def shift(a, direction: str):
+    if isinstance(a, Sym):
+        return jet_atom(a.name, BUNDLE.zero_index().incremented(direction))
+    return jet_atom(a.fiber, a.alpha.incremented(direction), a.vertical)
+
+
+def per_direction_total_derivative(e: Expr, direction: str) -> Expr:
+    out = diff(e, Sym(direction))
+    for a in sorted(e.atoms()):
+        if isinstance(a, JetCoord) or (isinstance(a, Sym) and a.name in BUNDLE.fiber):
+            out = out + diff(e, a) * Expr.atom(shift(a, direction))
+    return out
+
+
+def typed_terms(e: Expr) -> list:
+    return [(m, c, type(c)) for m, c in e._terms.items()]
+
+
+def assert_same_coeffs(new: dict, ref: dict) -> None:
+    assert list(new) == list(ref)
+    for key in ref:
+        assert typed_terms(new[key]) == typed_terms(ref[key]), key
+
+
+@given(exprs(), exprs(), st.integers(0, 2))
+def test_holonomic_prolongation_matches_per_direction_formula(e1, e2, k):
+    phi = Morphism(BUNDLE, R, S, Form(1, BUNDLE.base, {(1,): e1, (2,): e2}))
+    family = holonomic_prolongation(phi, k)
+    ref = {BUNDLE.zero_index(): dict(phi.value.coeffs)}
+    for beta in indices_up_to(BUNDLE.base, k)[1:]:
+        i = next(i for i, x in enumerate(beta.exponents) if x)
+        below = MultiIndex(beta.names, beta.exponents[:i] + (beta.exponents[i] - 1,) + beta.exponents[i + 1 :])
+        derived = {key: per_direction_total_derivative(c, BUNDLE.base[i]) for key, c in ref[below].items()}
+        ref[beta] = {key: c for key, c in derived.items() if not c.is_zero}
+    assert list(family) == list(ref)
+    for beta in ref:
+        assert_same_coeffs(dict(family[beta].coeffs), ref[beta])
+
+
+@given(exprs(TOTAL_SPACE), exprs(TOTAL_SPACE))
+def test_associated_jet_map_matches_per_direction_formula(e1, e2):
+    f = BaseMorphism(BUNDLE, ("z", "w"), {"z": e1, "w": e2})
+    ref = {}
+    for a, comp in f.components.items():
+        ref[(a, BUNDLE.zero_index())] = comp
+        for name in BUNDLE.base:
+            ref[(a, MultiIndex.unit(BUNDLE.base, name))] = per_direction_total_derivative(comp, name)
+    assert_same_coeffs(associated_jet_map(f), ref)
+
+
+@given(exprs(), exprs())
+def test_fed_direct_matches_per_direction_formula(e1, e2):
+    phi = Morphism(BUNDLE, R, S, Form(1, BUNDLE.base, {(1,): e1, (2,): e2}))
+    coords = enumerate_jet_coordinates(BUNDLE, R, S)
+    ref = Form.zero(2, BUNDLE.base)
+    for i, name in enumerate(BUNDLE.base, start=1):
+        coeffs = {}
+        for key, c in phi.value.coeffs.items():
+            out = diff(c, Sym(name))
+            for a in coords:
+                out = out + diff(c, a) * Expr.atom(shift(a, name))
+            coeffs[key] = out
+        ref = ref + wedge_basis_left(i, Form(1, BUNDLE.base, coeffs))
+    direct = formal_exterior_differential_direct(phi)
+    assert (direct.r, direct.s) == (R + 1, S + 1)
+    assert_same_coeffs(dict(direct.value.coeffs), dict(ref.coeffs))
 
 
 @given(exprs(), st.data())

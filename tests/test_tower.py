@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+import varjet.jetcalc
 from varjet.bundle import BundleSpec, FiberwiseCoord, jet_atom
 from varjet.expr import Expr, Sym, diff, function, sin, substitute, sum_exprs
 from varjet.fiberwise import (
@@ -41,6 +42,7 @@ BUNDLE = BundleSpec(("x", "y"), ("u", "v"))
 TOWER = BundleSpec(("x",), ("p", "q"), ("z", "w"))
 SOURCE = BundleSpec(("x",), ("p", "q"))
 PLANE = BundleSpec(("x", "y"), ("p",))
+SPACE = BundleSpec(("x", "y", "t"), ("u", "v"))
 
 
 # -- the earlier builders -------------------------------------------------------
@@ -237,18 +239,41 @@ def test_graded_tower_order_and_steps(m, max_order):
     names = ("a", "b", "c")[:m]
     calls = []
 
-    def step(below: MultiIndex, name: str, order: int) -> MultiIndex:
-        calls.append(name)
-        # the entry below is alpha minus the unit of its first nonzero exponent
+    def step(below: MultiIndex, successor_names: tuple, order: int) -> list[MultiIndex]:
+        calls.append(below)
         assert order == below.order + 1
-        assert all(e == 0 for e in below.exponents[: names.index(name)])
-        return below.incremented(name)
+        # the successor names are distinct, in range order
+        positions = [names.index(name) for name in successor_names]
+        assert positions == sorted(set(positions))
+        above = [below.incremented(name) for name in successor_names]
+        # each entry is stepped to from alpha minus the unit of its first nonzero exponent
+        for alpha, i in zip(above, positions):
+            assert next(j for j, e in enumerate(alpha.exponents) if e) == i
+        return above
 
     zero = MultiIndex.zero(names)
     tower = graded_tower(names, max_order, zero, step)
     assert list(tower) == list(indices_up_to(names, max_order))
     assert all(alpha == entry for alpha, entry in tower.items())
-    assert len(calls) == len(tower) - 1
+    # one call per entry that has entries above it, in tower order
+    assert calls == [beta for beta in tower if beta.order < max_order]
+
+
+def test_holonomic_prolongation_walks_each_coefficient_once_per_entry(monkeypatch):
+    u, v, x, y, t = (Expr.atom(Sym(n)) for n in ("u", "v", "x", "y", "t"))
+    ux, vy, ut = (Expr.atom(jet_atom(p, MultiIndex.unit(SPACE.base, d))) for p, d in (("u", "x"), ("v", "y"), ("u", "t")))
+    # no coefficient vanishes under two total derivatives in any directions
+    coeffs = {(1,): u * u * ux + x * v, (2,): sin(u) * vy + y * u, (3,): v**3 * ut + t * u * v}
+    phi = Morphism(SPACE, 1, None, Form(1, SPACE.base, coeffs))
+    walks = []
+    real = varjet.jetcalc.partials
+    monkeypatch.setattr(varjet.jetcalc, "partials", lambda e, accept: walks.append(e) or real(e, accept))
+    holonomic_prolongation(phi, 1)
+    assert len(walks) == 3  # one per coefficient, not one per coefficient and direction
+    walks.clear()
+    family = holonomic_prolongation(phi, 2)
+    stepped = [beta for beta in family if beta.order < 2]
+    assert len(walks) == sum(len(family[beta].coeffs) for beta in stepped) == 3 * len(stepped) == 12
 
 
 def test_index_lists_are_built_once():
